@@ -15,7 +15,10 @@ Every cost function is a callable ``f(j) -> float`` on integer states and
 additionally supports vectorized evaluation on NumPy arrays.  Solvers never
 call these objects in their inner loops; instead they *tabulate* the values
 into a dense ``(T, m+1)`` float64 matrix once (see :func:`tabulate`) and run
-vectorized kernels on it, following the repository's HPC conventions.
+vectorized kernels on it, following the repository's HPC conventions.  The
+load traces' energy + delay (+ SLA) family skips the per-step objects:
+:func:`tabulate_energy_delay` builds its whole matrix in one broadcast, byte
+for byte what the per-step ``SumCost`` rows give.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "ConstantCost",
     "tabulate",
     "tabulate_many",
+    "tabulate_energy_delay",
     "is_convex_table",
     "assert_convex_table",
     "check_cost_matrix",
@@ -391,6 +395,61 @@ def tabulate_many(fs: Sequence, m: int) -> np.ndarray:
     if len(fs) == 0:
         return np.zeros((0, m + 1), dtype=np.float64)
     return np.ascontiguousarray(np.stack([tabulate(f, m) for f in fs]))
+
+
+def tabulate_energy_delay(loads, m: int, *, energy: float = 1.0,
+                          delay_weight: float = 1.0,
+                          sla_penalty: float = 0.0) -> np.ndarray:
+    """Whole-table ``(T, m+1)`` tabulation of the energy + delay family.
+
+    Row ``t`` equals ``SumCost(AffineEnergyCost(energy),
+    QueueingDelayCost(loads[t], weight=delay_weight)[, SLAHingeCost(
+    loads[t], sla_penalty)]).table(m)`` byte for byte (the hinge joins
+    only when ``sla_penalty > 0``): one broadcast over all rows with the
+    same elementwise op order, instead of ``T`` cost objects evaluated
+    one at a time.  The one scalar step kept per row is the square in
+    the delay term's slope at ``ceil(load)``: :class:`QueueingDelayCost`
+    squares a Python float, which goes through libm ``pow`` and is not
+    always the correctly rounded product NumPy's square returns.
+    """
+    lam = np.asarray(loads, dtype=np.float64)
+    if lam.ndim != 1:
+        raise ValueError("loads must be a 1-D sequence")
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
+    if energy < 0:
+        raise ValueError("power coefficients must be non-negative")
+    if np.any(lam < 0):
+        raise ValueError("load must be non-negative")
+    if delay_weight < 0:
+        raise ValueError("weight must be non-negative")
+    x = np.arange(m + 1, dtype=np.float64)
+    lam = lam[:, None]
+    lo = np.ceil(lam)
+    wl = delay_weight * lam
+    # QueueingDelayCost (headroom 1): the hyperbola from ceil(load) up ...
+    F = np.maximum(x, lo)
+    F -= lam
+    F += 1.0
+    np.divide(wl, F, out=F)
+    # ... continued linearly below it with the hyperbola's slope there.
+    d = lo - lam + 1.0
+    d2 = np.array([v ** 2 for v in d.ravel().tolist()],
+                  dtype=np.float64).reshape(d.shape)
+    tmp = x - lo
+    tmp *= -delay_weight * lam / d2
+    tmp += wl / d
+    np.copyto(F, tmp, where=x < lo)
+    # SumCost adds its parts in order: energy (AffineEnergyCost's base
+    # 0.0 included; the zeros SumCost starts from add nothing after it),
+    # delay, hinge.
+    F += energy * x + 0.0
+    if sla_penalty > 0:
+        np.subtract(lam, x, out=tmp)
+        np.maximum(tmp, 0.0, out=tmp)
+        tmp *= sla_penalty
+        F += tmp
+    return F
 
 
 def is_convex_table(values: np.ndarray, tol: float = 1e-9) -> bool:

@@ -1,9 +1,8 @@
 """2-competitive fractional online algorithm (threshold "charge-half" rule).
 
 This is the repository's proof-carrying substitute for the algorithm of
-Bansal et al. [7] that Section 4 of the paper uses as a black box (see
-DESIGN.md §4/§5 and docs/ANALYSIS.md for the substitution rationale and
-the full competitive analysis).
+Bansal et al. [7] that Section 4 of the paper uses as a black box; the
+rule and its competitive argument are sketched below.
 
 State: a threshold profile ``q in [0,1]^m`` with ``q_s`` interpreted as
 the probability that at least ``s`` servers are active; the fractional
@@ -19,7 +18,9 @@ vice versa, at rate ``1/beta`` per unit of charged cost — exactly the
 ``beta = 2`` and the hinge functions ``phi_0/phi_1`` arrive.  Convexity
 of ``f_t`` makes ``g`` nondecreasing, which preserves the monotonicity
 ``q_1 >= q_2 >= ...`` (a valid threshold profile).  A per-threshold
-potential argument (docs/ANALYSIS.md) shows the induced fractional
+potential argument (``Phi = (beta/2) (d + d^2)`` with ``d = |q_s - o_s|``
+the distance to an integral optimum, checked step by step in
+``tests/test_threshold.py``) shows the induced fractional
 schedule costs at most twice the offline optimum; the randomized rounding
 of Section 4 then converts it into an integral 2-competitive algorithm.
 """

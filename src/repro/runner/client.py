@@ -10,7 +10,8 @@ exact schedule without wall-clock time or sockets.
 
 What retries, what doesn't:
 
-* transport failures (connection refused/reset, timeouts, and the
+* transport failures (connection refused/reset, timeouts, a torn or
+  malformed reply such as ``http.client.IncompleteRead``, and the
   injected ``http_request`` fault site) retry up to
   ``policy.max_retries`` times;
 * ``429`` (admission control) and ``5xx``/``503`` responses retry the
@@ -25,6 +26,7 @@ and the server treats a known digest as a no-op, so a duplicated POST
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -112,6 +114,7 @@ class ServiceClient:
                 status, raw = self._transport(
                     method, self.base_url + path, body, self.timeout)
             except (OSError, urllib.error.URLError,
+                    http.client.HTTPException,
                     faults.InjectedFault) as exc:
                 last = exc
             else:

@@ -460,17 +460,6 @@ def _prefetch_sweeps(entries) -> None:
         kernels.cached_sweep_many(items)
 
 
-def _solve_chunk(task: tuple) -> list[dict]:
-    """Fused phase-1 job: solve several instances' optima in one
-    round-trip (each through :func:`_solve_instance`, so per-item
-    behavior — and test monkeypatching — is unchanged).  Under the
-    batched kernel the chunk's sweeps run as one stacked launch first
-    (:func:`_prefetch_sweeps`); the per-item solves then hit the memo."""
-    coords_list, store_root = task
-    _prefetch_sweeps((coords, store_root) for coords in coords_list)
-    return [_solve_instance((coords, store_root)) for coords in coords_list]
-
-
 def _sharing_coords(job: tuple):
     """The instance coordinates a job can share a work-function sweep
     on, or ``None`` when its algorithm keeps per-job state.
@@ -524,32 +513,6 @@ def _run_shared(tasks: list[tuple]) -> list[dict]:
         out = (solver(inst, bounds=bounds) if bounds is not None
                else solver(inst))
         rows[i] = _online_row(job, get_spec(job[1]), rec, out.cost)
-    return rows
-
-
-def _run_chunk(tasks: list[tuple]) -> list[dict]:
-    """Fused phase-2 job: run a contiguous slice of a batch's pending
-    jobs in one worker round-trip.  Within the chunk, jobs of one
-    instance whose algorithms consume work-function bounds are grouped
-    (in job order) and replayed through :func:`_run_shared`; everything
-    else goes through :func:`_run_job` unchanged."""
-    rows: list = [None] * len(tasks)
-    groups: dict[tuple, list[int]] = {}
-    for idx, (job, _rec, _root) in enumerate(tasks):
-        coords = _sharing_coords(job)
-        if coords is not None:
-            groups.setdefault(coords, []).append(idx)
-    _prefetch_sweeps((coords, tasks[idxs[0]][2])
-                     for coords, idxs in groups.items())
-    for idxs in groups.values():
-        if len(idxs) < 2:
-            continue  # nothing to share; take the ordinary path
-        for idx, row in zip(idxs,
-                            _run_shared([tasks[i] for i in idxs])):
-            rows[idx] = row
-    for idx, task in enumerate(tasks):
-        if rows[idx] is None:
-            rows[idx] = _run_job(task)
     return rows
 
 
@@ -696,8 +659,9 @@ def _attempt_items(tasks, idxs, rows, done, errors) -> None:
 
 def _run_chunk_retry(task: tuple) -> dict:
     """Fused, fault-tolerant phase-2 chunk.  ``task`` is
-    ``(tasks, policy)`` with the same per-item tasks
-    :func:`_run_chunk` takes; returns ``{"rows": [...], "retries": n}``.
+    ``(tasks, policy)`` where each item is the ``(job, inst_record,
+    store_root)`` task :func:`_run_job` takes; returns ``{"rows": [...],
+    "retries": n}``.
 
     A failing item is retried (exponential backoff, in this worker so
     per-process fault counters stay deterministic) up to

@@ -1,9 +1,11 @@
 """Shared materialized-instance store — phase 0 of the engine.
 
-Building a scenario instance means evaluating ``O(T m)`` Python-level
-cost functions; before this layer every engine worker re-paid that for
-every job (phase 1 *and* phase 2), so a grid with ``A`` algorithms
-tabulated the same ``(T, m+1)`` cost matrix ``A + 1`` times.  The store
+Building a scenario instance means tabulating its ``(T, m+1)`` cost
+matrix (for the trace families one whole-table broadcast,
+:func:`repro.core.costs.tabulate_energy_delay`); before this layer
+every engine worker re-paid that for every job (phase 1 *and* phase
+2), so a grid with ``A`` algorithms tabulated the same matrix ``A + 1``
+times.  The store
 materializes each distinct ``(scenario, pipeline, T, inst_seed)``
 instance exactly once and persists its dense payload as content-addressed
 ``.npy`` files:
@@ -20,10 +22,13 @@ read-only pages instead of re-tabulating — rebuild cost is paid once per
 store, not once per job.
 
 Independently of any store, :func:`get_instance` keeps a small
-per-process memo so one process never builds (or mmap-loads) the same
-instance twice, and counts actual scenario builds in a per-process stats
-dict — the ``inst_builds`` counter :func:`repro.runner.run_grid` reports,
-which is how tests *prove* the exactly-once property.
+per-process memo (8 instances by default) and counts actual scenario
+builds in a per-process stats dict — the ``inst_builds`` counter
+:func:`repro.runner.run_grid` reports.  The memo spares rebuilds only
+while a chunk holds at most that many distinct instances: a larger
+chunk's phase-1 solves, phase-2 shared replays and phase-2 solo jobs
+each rebuild every instance, three builds per instance.  Only the
+store makes builds exactly once.
 
 Payloads reconstruct bit-identically (``np.save`` round-trips float64
 exactly), so rows computed through the store match the rebuild path and
@@ -242,12 +247,6 @@ def _build_coords(coords: tuple):
     scenario, pipeline, T, inst_seed, params = split_coords(coords)
     return build_instance(scenario, T, inst_seed, pipeline=pipeline,
                           params=_json.loads(params) if params else None)
-
-
-def _materialize_job(task: tuple) -> bool:
-    """Module-level phase-0 job for the process pool."""
-    coords, root = task
-    return InstanceStore(root).materialize(coords)
 
 
 def _materialize_chunk(task: tuple) -> list[bool]:

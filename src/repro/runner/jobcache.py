@@ -101,10 +101,13 @@ def connect_wal(db_path: pathlib.Path) -> sqlite3.Connection:
     """Open ``db_path`` with the cache's WAL machinery: autocommit,
     WAL journal, NORMAL sync and a generous busy timeout, so concurrent
     writers (engine workers, overlapping sweeps, result sinks) are safe.
-    Shared by the cache backend and :mod:`repro.runner.sinks`."""
+    Switching a fresh file to WAL takes an exclusive lock the busy
+    timeout does not cover, so processes opening one new database at
+    the same moment go through :func:`with_busy_retry`.  Shared by the
+    cache backend, the lease queue and :mod:`repro.runner.sinks`."""
     db_path.parent.mkdir(parents=True, exist_ok=True)
     conn = sqlite3.connect(db_path, timeout=30.0, isolation_level=None)
-    conn.execute("PRAGMA journal_mode=WAL")
+    with_busy_retry(lambda: conn.execute("PRAGMA journal_mode=WAL"))
     conn.execute("PRAGMA synchronous=NORMAL")
     return conn
 

@@ -99,9 +99,14 @@ class ServiceError(Exception):
 
 
 class _Server(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows its owning :class:`GridService`."""
+    """ThreadingHTTPServer that knows its owning :class:`GridService`.
 
-    daemon_threads = True
+    Handler threads are not daemons, so ``server_close()`` joins every
+    in-flight request (each bounded by the service's
+    ``request_timeout``): a drain never ends the serve loop, and with
+    it the process, before the ``POST /shutdown`` reply is written."""
+
+    daemon_threads = False
 
     def __init__(self, address, handler, service: "GridService"):
         """Bind ``address`` and remember the owning service."""

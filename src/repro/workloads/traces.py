@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from ..core.costs import (AffineEnergyCost, QueueingDelayCost, SLAHingeCost,
-                          SumCost)
+from ..core.costs import tabulate_energy_delay
 from ..core.instance import Instance, RestrictedInstance
 
 __all__ = [
@@ -44,18 +43,18 @@ def instance_from_loads(loads, m: int, beta: float, *,
     [+ sla_penalty * (load_t - x)^+]`` — convex in ``x`` (sum of convex
     parts), non-negative, and exhibiting the tension the paper studies:
     few servers are cheap on energy but expensive on latency.
+
+    The whole ``(T, m+1)`` table comes from one broadcast
+    (:func:`~repro.core.costs.tabulate_energy_delay`), byte-identical to
+    tabulating the per-step ``SumCost`` of those parts row by row.
     """
     loads = np.asarray(loads, dtype=np.float64)
     if np.any(loads > m):
         raise ValueError("m must be at least the peak load")
-    fs = []
-    for lam in loads:
-        parts = [AffineEnergyCost(energy),
-                 QueueingDelayCost(float(lam), weight=delay_weight)]
-        if sla_penalty > 0:
-            parts.append(SLAHingeCost(float(lam), sla_penalty))
-        fs.append(SumCost(*parts))
-    return Instance.from_functions(fs, m, beta)
+    F = tabulate_energy_delay(loads, m, energy=energy,
+                              delay_weight=delay_weight,
+                              sla_penalty=sla_penalty)
+    return Instance(beta=beta, F=F)
 
 
 def default_server_cost(e0: float = 1.0, e1: float = 1.0):

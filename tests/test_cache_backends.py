@@ -2,12 +2,14 @@
 cache` admin CLI, and the nightly benchmark comparator."""
 
 import json
+import multiprocessing
+import sqlite3
 import time
 
 import pytest
 
 from repro.runner import GridSpec, JobCache, migrate_cache, run_grid
-from repro.runner.jobcache import DB_NAME
+from repro.runner.jobcache import DB_NAME, connect_wal
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
                  seeds=(0, 1), sizes=(16,))
@@ -176,6 +178,36 @@ class TestSqliteBackend:
             JobCache(tmp_path, backend="mongodb")
 
 
+def _open_each_at_barrier(paths, barrier, failures):
+    for path in paths:
+        barrier.wait(timeout=60)
+        try:
+            connect_wal(path).close()
+        except sqlite3.OperationalError:
+            with failures.get_lock():
+                failures.value += 1
+
+
+class TestConcurrentOpen:
+    def test_processes_opening_one_fresh_database_all_succeed(
+            self, tmp_path):
+        """Switching a fresh file to WAL takes an exclusive lock the
+        busy timeout does not cover; processes released together onto
+        one new path must all open it (the busy retry absorbs it)."""
+        ctx = multiprocessing.get_context("spawn")
+        paths = [tmp_path / f"fresh{i}" / DB_NAME for i in range(20)]
+        barrier, failures = ctx.Barrier(4), ctx.Value("i", 0)
+        procs = [ctx.Process(target=_open_each_at_barrier,
+                             args=(paths, barrier, failures))
+                 for _ in range(4)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0] * 4
+        assert failures.value == 0
+
+
 class TestPruneBytes:
     """Size-bounded LRU eviction (`repro cache prune --max-bytes`)."""
 
@@ -252,7 +284,6 @@ class TestPruneBytes:
     def test_legacy_database_falls_back_to_full_vacuum(self, tmp_path):
         """A cache.db from before the incremental mode still prunes
         (full VACUUM per round) and reports its vacuum mode."""
-        from repro.runner.jobcache import connect_wal
         conn = connect_wal(tmp_path / DB_NAME)  # auto_vacuum=NONE
         conn.execute("CREATE TABLE records (kind TEXT NOT NULL, key "
                      "TEXT NOT NULL, record TEXT NOT NULL, created "

@@ -3,6 +3,7 @@ idempotent submits, drain shutdown, the ServiceClient retry loop, and
 the end-to-end chaos run (SIGKILL'd worker + transient HTTP and SQLite
 faults) whose merged rows must stay bit-identical to a local run_grid."""
 
+import http.client
 import json
 import subprocess
 import sys
@@ -187,6 +188,46 @@ class TestDrainShutdown:
         service.join(timeout=10.0)
         assert not service._thread.is_alive()
 
+    def test_shutdown_reply_arrives_on_every_cycle(self, tmp_path):
+        for cycle in range(5):
+            service = GridService(tmp_path / f"q{cycle}").start()
+            client = ServiceClient(service.url,
+                                   policy=RetryPolicy(max_retries=0))
+            assert client.shutdown() == {"draining": True}
+            service.join(timeout=10.0)
+            assert not service._thread.is_alive()
+
+    def test_serve_loop_waits_for_inflight_shutdown_reply(self, tmp_path):
+        """The drain stops the accept loop while the ``POST /shutdown``
+        handler may still be writing its reply; the serve loop (and,
+        under ``repro serve``, the process) must outlive that handler."""
+        service = GridService(tmp_path / "q")
+        handled, release = threading.Event(), threading.Event()
+        route = service.handle
+
+        def slow_reply(method, path, body=None):
+            out = route(method, path, body)
+            if path == "/shutdown":
+                handled.set()
+                release.wait(10.0)
+            return out
+
+        service.handle = slow_reply
+        service.start()
+        replies = []
+        client = threading.Thread(target=lambda: replies.append(
+            ServiceClient(service.url, policy=RetryPolicy(
+                max_retries=0)).shutdown()))
+        client.start()
+        assert handled.wait(10.0)
+        service.join(timeout=0.5)  # the drain has already stopped accepting
+        assert service._thread.is_alive()
+        release.set()
+        client.join(timeout=10.0)
+        service.join(timeout=10.0)
+        assert not service._thread.is_alive()
+        assert replies == [{"draining": True}]
+
 
 class TestServiceClientRetry:
     POLICY = RetryPolicy(max_retries=2, backoff=0.05, backoff_max=2.0)
@@ -224,6 +265,23 @@ class TestServiceClientRetry:
             client.request("GET", "/healthz")
         assert len(attempts) == self.POLICY.max_retries + 1
         assert len(sleeps) == self.POLICY.max_retries
+
+    def test_torn_reply_is_a_transport_error(self):
+        attempts = []
+
+        def torn(method, url, body, timeout):
+            attempts.append(method)
+            raise http.client.IncompleteRead(b'{"draini', 9)
+
+        sleeps = []
+        client = self.make_client(torn, sleeps)
+        with pytest.raises(ServiceUnavailable) as exc_info:
+            client.request("POST", "/shutdown")
+        assert isinstance(exc_info.value.__cause__,
+                          http.client.IncompleteRead)
+        assert len(attempts) == self.POLICY.max_retries + 1
+        assert sleeps == [backoff_delay(self.POLICY, 1),
+                          backoff_delay(self.POLICY, 2)]
 
     def test_429_and_5xx_retry_but_4xx_raises_immediately(self):
         responses = [(429, b'{"error": {"code": "over_budget"}}'),

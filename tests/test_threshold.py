@@ -1,5 +1,6 @@
 """Tests for the 2-competitive fractional threshold algorithm and its
-competitive certificate (DESIGN.md §5, docs/ANALYSIS.md)."""
+competitive certificate (the potential argument sketched in the
+``repro.online.threshold`` module docstring)."""
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestMechanics:
 
 
 class TestPotentialCertificate:
-    """Per-step potential inequality from docs/ANALYSIS.md, checked on the
+    """Per-step potential inequality of the threshold rule, checked on the
     two-state game: ALG_t + Phi_t - Phi_{t-1} <= 2 OPT_t, with
     Phi = (beta/2) (d + d^2), d = |q - o|, against an integral OPT."""
 

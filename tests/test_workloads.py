@@ -1,9 +1,14 @@
 """Tests for the synthetic workload generators and trace builders."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.costs import is_convex_table
+from repro.core.costs import (AffineEnergyCost, QueueingDelayCost,
+                              SLAHingeCost, SumCost, is_convex_table)
+from repro.core.instance import Instance
+from repro.runner.scenarios import TRACE_FAMILIES
 from repro.workloads import (bursty_loads, capacity_for, constant_loads,
                              default_server_cost, diurnal_loads,
                              hotmail_like_loads, instance_from_loads,
@@ -130,3 +135,92 @@ class TestBuilders:
         vals = np.array([f(z) for z in zs])
         assert np.all(np.diff(vals) >= 0)
         assert np.all(np.diff(vals, n=2) >= -1e-12)
+
+
+def _per_step_instance(loads, m, beta, *, energy=1.0, delay_weight=2.0,
+                       sla_penalty=0.0):
+    """The per-step reference: one ``SumCost`` row object per load,
+    tabulated one at a time."""
+    loads = np.asarray(loads, dtype=np.float64)
+    if np.any(loads > m):
+        raise ValueError("m must be at least the peak load")
+    fs = []
+    for lam in loads:
+        parts = [AffineEnergyCost(energy),
+                 QueueingDelayCost(float(lam), weight=delay_weight)]
+        if sla_penalty > 0:
+            parts.append(SLAHingeCost(float(lam), sla_penalty))
+        fs.append(SumCost(*parts))
+    return Instance.from_functions(fs, m, beta)
+
+
+def _assert_same_bytes(loads, m, **kwargs):
+    got = instance_from_loads(loads, m=m, beta=3.0, **kwargs)
+    want = _per_step_instance(loads, m, 3.0, **kwargs)
+    assert got.F.shape == want.F.shape
+    assert got.F.tobytes() == want.F.tobytes()
+
+
+_FAMILY_LOADS = {"diurnal": diurnal_loads, "msr-like": msr_like_loads,
+                 "hotmail-like": hotmail_like_loads,
+                 "bursty": bursty_loads, "onoff": onoff_loads}
+
+
+class TestWholeTableTabulation:
+    """``instance_from_loads`` tabulates the whole ``(T, m+1)`` table in
+    one broadcast; every byte must equal the per-step ``SumCost`` rows."""
+
+    def test_families_cover_the_catalog(self):
+        assert sorted(_FAMILY_LOADS) == sorted(TRACE_FAMILIES)
+
+    @pytest.mark.parametrize("T", [1, 200, 1000])
+    @pytest.mark.parametrize("family", sorted(_FAMILY_LOADS))
+    def test_trace_families_byte_identical(self, family, T):
+        for seed in range(3):
+            loads = _FAMILY_LOADS[family](
+                T, peak=24.0, rng=np.random.default_rng(seed))
+            m = capacity_for(loads)
+            for delay_weight in (2.0, 10.0):
+                for sla_penalty in (0.0, 2.0):
+                    _assert_same_bytes(loads, m, delay_weight=delay_weight,
+                                       sla_penalty=sla_penalty)
+
+    def test_loads_where_libm_pow_is_not_the_exact_square(self):
+        """The delay term squares ``ceil(load) - load + 1`` as a Python
+        float, i.e. through libm ``pow``, which does not always return
+        the correctly rounded product NumPy's square computes.  Loads
+        where the two disagree catch a tabulation that squares in NumPy."""
+        rng = np.random.default_rng(0)
+        loads = [lam for lam in rng.uniform(0.0, 24.0, 20_000).tolist()
+                 if (d := math.ceil(lam) - lam + 1.0) ** 2 != d * d]
+        if not loads:
+            pytest.skip("libm pow squares exactly on this platform")
+        for delay_weight in (2.0, 10.0):
+            _assert_same_bytes(loads, 24, delay_weight=delay_weight)
+
+    @pytest.mark.parametrize("loads,m", [
+        ([0.0, 0.0, 0.0], 4),
+        ([0.0], 0),
+        ([1.0, 2.0, 3.0, 7.0], 7),
+        ([7.0, 0.0, 6.5, 7.0], 7),
+        ([0.5, 1e-12, 6.999999999, 3.0], 7),
+        ([], 5),
+    ])
+    def test_edge_loads_byte_identical(self, loads, m):
+        for sla_penalty in (0.0, 2.0):
+            _assert_same_bytes(np.array(loads), m, delay_weight=10.0,
+                               sla_penalty=sla_penalty)
+        _assert_same_bytes(np.array(loads), m, energy=0.0, delay_weight=0)
+
+    @pytest.mark.parametrize("loads,m,kwargs", [
+        ([1.0, -0.5], 4, {}),
+        ([1.0, 2.0], 4, {"delay_weight": -1.0}),
+        ([1.0, 2.0], 4, {"energy": -1.0}),
+        ([1.0, 4.5], 4, {}),
+        ([5.0], 4, {"energy": -1.0}),
+    ])
+    def test_same_errors_as_per_step(self, loads, m, kwargs):
+        with pytest.raises(ValueError) as want:
+            _per_step_instance(np.array(loads), m, 3.0, **kwargs)
+        with pytest.raises(ValueError, match=str(want.value)):
+            instance_from_loads(np.array(loads), m=m, beta=3.0, **kwargs)
