@@ -83,7 +83,7 @@ def _run_variant(spec, variant: str, workdir: pathlib.Path,
                  n_jobs: int) -> dict:
     """Time one run_grid execution under one variant; returns a row."""
     from repro import kernels
-    from repro.runner import EngineConfig, run_grid, shutdown_pool
+    from repro.runner import EngineConfig, RunStats, run_grid, shutdown_pool
     from repro.runner import instancestore
     store_dir = workdir / "store"
     cache_dir = workdir / "cache"
@@ -125,7 +125,7 @@ def _run_variant(spec, variant: str, workdir: pathlib.Path,
                 # variant's memo state instead of the warm-up run's
                 # (matters for n_jobs > 1)
                 shutdown_pool()
-                stats: dict = {}
+                stats = RunStats()
                 start = time.perf_counter()
                 rows = run_grid(spec,
                                 EngineConfig(n_jobs=n_jobs, **kwargs),
@@ -134,8 +134,8 @@ def _run_variant(spec, variant: str, workdir: pathlib.Path,
                 row = {"variant": variant, "jobs": len(rows),
                        "seconds": round(elapsed, 6),
                        "jobs_per_sec": round(len(rows) / elapsed, 3),
-                       "inst_builds": stats.get("inst_builds"),
-                       "inst_loads": stats.get("inst_loads"),
+                       "inst_builds": stats.inst_builds,
+                       "inst_loads": stats.inst_loads,
                        "rows": rows}
                 if best is not None and best["rows"] != rows:
                     raise AssertionError(

@@ -7,16 +7,16 @@ results are collected as a list of flat row dicts ready for
 
 Evaluation rides the batch engine's shared pipelined executor
 (:func:`repro.runner.executor.run_pipeline` — the same
-double-buffer / in-order-drain loop ``run_grid`` runs on): passing
-``n_jobs > 1`` fans grid points out over the engine's *persistent*
-process pool (the function must then be picklable, i.e. module-level)
-in fused chunks — several points per worker round-trip — and up to
-``pipeline_depth`` batches stay in flight, so the pool keeps working
-while the parent flushes finished batches' rows to the sink.  The
+double-buffer / in-order-drain loop ``run_grid`` runs on): an
+``EngineConfig`` with ``n_jobs > 1`` fans grid points out over the
+engine's *persistent* process pool (the function must then be
+picklable, i.e. module-level) in fused chunks — several points per
+worker round-trip — and up to ``pipeline_depth`` batches stay in
+flight, so the pool keeps working while the parent flushes finished
+batches' rows to the sink.  The
 pool is shared with ``run_grid`` and ``repro lowerbound`` and survives
 across sweeps, so many small sweeps don't pay a pool fork each.
-Passing ``cache_dir``
-(a directory, or a ready-made
+A ``cache_dir`` (a directory, or a ready-made
 :class:`~repro.runner.jobcache.JobCache` — e.g. one opened on the
 SQLite backend) stores each point's measurements in the engine's
 per-job content-addressed cache, keyed by the function's qualified name
@@ -34,19 +34,14 @@ from concurrent.futures import Future
 from typing import Callable, Mapping, Sequence
 
 from ..runner.executor import (EngineConfig, PipelineBatch, RunStats,
-                               chunk_list, resolve_config, run_pipeline,
-                               submit_task)
-from ..runner.engine import _batches
+                               chunk_list, iter_batches, run_args,
+                               run_pipeline, submit_task)
 from ..runner.jobcache import JobCache, content_key, jsonify
 
 __all__ = ["sweep"]
 
 #: bump when the sweep cache record shape changes
 _SWEEP_CACHE_VERSION = 1
-
-#: keyword arguments the pre-``EngineConfig`` ``sweep`` accepted
-_SWEEP_KWARGS = frozenset({"n_jobs", "cache_dir", "sink", "batch_size",
-                           "pipeline_depth", "chunk_points"})
 
 
 class _EvalChunk:
@@ -148,28 +143,29 @@ class _SweepBatch(PipelineBatch):
 
 
 def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
-          config: EngineConfig | None = None, *, stats=None, **legacy):
+          config: EngineConfig | None = None, *,
+          stats: RunStats | None = None):
     """Evaluate ``fn(**point)`` on every point of the parameter grid.
 
     ``grid`` maps parameter names to value lists; the returned rows merge
     the grid point with ``fn``'s measurement dict (measurements win on
-    key collisions being forbidden).  Execution is configured by an
-    :class:`~repro.runner.executor.EngineConfig` (the legacy keyword
-    arguments — ``n_jobs``, ``cache_dir``, ``sink``, ``batch_size``,
-    ``pipeline_depth``, ``chunk_points`` — still work through a
-    deprecation shim; ``chunk_points`` is the config's ``chunk_jobs``).
-    ``n_jobs > 1`` evaluates points on the persistent process pool; row
-    order is always the grid-product order.  With ``cache_dir``,
-    previously evaluated points are read back from the per-point cache.
-    ``stats`` may be a :class:`~repro.runner.executor.RunStats` (typed
-    counters, accumulated in place) or a plain dict, which receives the
-    historical ``hits`` and ``misses`` keys.
+    key collisions being forbidden).  Execution is configured by
+    ``config``, an :class:`~repro.runner.executor.EngineConfig`
+    (``None`` = the defaults; ``store_dir``, ``force`` and the retry
+    fields do not apply to sweeps).  ``n_jobs > 1`` evaluates points on
+    the persistent process pool; row order is always the grid-product
+    order.  With ``cache_dir``, previously evaluated points are read
+    back from the per-point cache.  ``stats`` is a
+    :class:`~repro.runner.executor.RunStats` whose ``hits`` /
+    ``misses`` and scheduler counters accumulate in place; a
+    ``config`` or ``stats`` of any other type raises
+    :class:`TypeError` before the sink is opened.
 
     Like :func:`repro.runner.run_grid`, a sweep streams *and
     pipelines* — on the same shared scheduling loop
     (:func:`repro.runner.executor.run_pipeline`): points run in bounded
     batches of ``batch_size`` (``None`` = one batch) dispatched as
-    fused chunks of ``chunk_points`` (``None`` auto-sizes), up to
+    fused chunks of ``chunk_jobs`` (``None`` auto-sizes), up to
     ``pipeline_depth`` batches stay in flight on the pool, and rows
     flow into a :mod:`repro.runner.sinks` ``sink`` — always in
     grid-product order — as each batch finishes.  The default
@@ -178,8 +174,7 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
     ``sweep`` returns ``sink.result()``.
     """
     from ..runner.sinks import ListSink
-    config = resolve_config(config, legacy, what="sweep",
-                            allowed=_SWEEP_KWARGS)
+    config, run_stats = run_args(config, stats)
     if config.pipeline_depth < 1:
         raise ValueError("pipeline_depth must be >= 1")
     names = list(grid.keys())
@@ -189,7 +184,6 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
              else JobCache(config.cache_dir)
              if config.cache_dir is not None else None)
     sink = ListSink() if config.sink is None else config.sink
-    run_stats = stats if isinstance(stats, RunStats) else RunStats()
 
     def plan(batch: list) -> _SweepBatch:
         pending: list[tuple[int, dict, str]] = []
@@ -216,12 +210,9 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
 
     sink.open()
     try:
-        run_pipeline(_batches(points, config.batch_size), plan,
+        run_pipeline(iter_batches(points, config.batch_size), plan,
                      pipeline_depth=config.pipeline_depth,
                      stats=run_stats)
     finally:
         sink.close()
-    if isinstance(stats, dict):
-        stats.update({"hits": run_stats.hits,
-                      "misses": run_stats.misses})
     return sink.result()

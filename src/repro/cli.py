@@ -512,10 +512,10 @@ def _print_grid_results(rows, per_row: bool, title: str,
                        title=f"{title} — aggregate ratios"))
 
 
-def _print_cache_stats(stats: dict) -> None:
-    print(f"cache: {stats['job_hits']} hits, {stats['job_misses']} misses, "
-          f"{stats['opt_solved']} optima solved, "
-          f"{stats['opt_hits']} optima cached")
+def _print_cache_stats(stats) -> None:
+    print(f"cache: {stats.job_hits} hits, {stats.job_misses} misses, "
+          f"{stats.opt_solved} optima solved, "
+          f"{stats.opt_hits} optima cached")
 
 
 def _make_cli_sink(args):
@@ -527,21 +527,21 @@ def _make_cli_sink(args):
     return make_sink(args.sink, args.sink_path or default)
 
 
-def _print_sink_results(result, args, stats: dict, n_jobs: int,
+def _print_sink_results(result, args, stats, n_jobs: int,
                         title: str) -> None:
     """Report a file-backed sink's output without re-loading the rows
     into parent memory (that would defeat the streaming core)."""
-    print(f"{title}: {stats['rows_written']} rows -> {result} "
-          f"(sink {args.sink}, {stats['batches']} batches, "
-          f"max {stats['max_pending']} pending rows, n_jobs={n_jobs}, "
-          f"{stats['overlapped_batches']} overlapped)")
+    print(f"{title}: {stats.rows_written} rows -> {result} "
+          f"(sink {args.sink}, {stats.batches} batches, "
+          f"max {stats.max_pending} pending rows, n_jobs={n_jobs}, "
+          f"{stats.overlapped_batches} overlapped)")
 
 
-def _print_store_stats(stats: dict) -> None:
-    print(f"store: {stats['inst_materialized']} instances materialized, "
-          f"{stats['inst_builds']} built in-process, "
-          f"{stats['inst_loads']} mmap loads, "
-          f"{stats['inst_memo_hits']} memo hits")
+def _print_store_stats(stats) -> None:
+    print(f"store: {stats.inst_materialized} instances materialized, "
+          f"{stats.inst_builds} built in-process, "
+          f"{stats.inst_loads} mmap loads, "
+          f"{stats.inst_memo_hits} memo hits")
 
 
 def _open_cache(args):
@@ -575,7 +575,7 @@ def _cmd_sweep(args) -> int:
         print("\nalgorithms/solvers:\n")
         print(algorithm_table())
         return 0
-    from .runner import run_grid
+    from .runner import RunStats, run_grid
     params = None
     if args.params:
         import json as _json
@@ -589,7 +589,7 @@ def _cmd_sweep(args) -> int:
     spec = _build_spec(_split(args.scenarios), _split(args.algorithms),
                        _split(args.seeds, int), _split(args.T, int),
                        lookahead=args.lookahead, params=params)
-    stats: dict = {}
+    stats = RunStats()
     result = run_grid(spec, _make_cli_config(args, _make_cli_sink(args)),
                       stats=stats)
     title = f"sweep {len(spec)} jobs (key {spec.cache_key()})"
@@ -607,9 +607,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .runner import GridSpec, run_grid
+    from .runner import GridSpec, RunStats, run_grid
     spec = GridSpec(**_BENCH_GRIDS[args.grid])
-    stats: dict = {}
+    stats = RunStats()
     start = time.perf_counter()
     result = run_grid(spec, _make_cli_config(args, _make_cli_sink(args)),
                       stats=stats)
@@ -622,7 +622,7 @@ def _cmd_bench(args) -> int:
     else:
         _print_sink_results(result, args, stats, args.n_jobs,
                             f"bench grid {args.grid!r}")
-    n = stats["rows_written"]
+    n = stats.rows_written
     print(f"\n{n} jobs in {elapsed:.2f}s "
           f"({n / elapsed:.1f} jobs/s, n_jobs={args.n_jobs})")
     if args.cache_dir:

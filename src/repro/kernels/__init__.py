@@ -31,8 +31,7 @@ whole-trajectory fast paths of the online replay layer
 paths end to end; ``"batched"`` keeps every vector fast path
 (:func:`is_vectorized`) and additionally stacks same-shape sweeps.
 
-A small per-process memo (:func:`cached_sweep`, sized by the
-``REPRO_SWEEP_MEMO`` environment variable, default 16) lets the
+A small per-process memo (:func:`cached_sweep`, 16 sweeps) lets the
 engine's phase-1 optimum computation and phase-2 shared replay reuse
 one sweep per instance; :func:`sweep_stats` exposes monotonic per-
 process hit/miss counters and :func:`clear_sweep_cache` drops the memo
@@ -68,9 +67,6 @@ __all__ = [
 
 #: environment variable selecting the kernel implementation
 ENV_VAR = "REPRO_KERNEL"
-
-#: environment variable sizing the per-process sweep memo
-ENV_MEMO = "REPRO_SWEEP_MEMO"
 
 #: recognized kernel names
 KERNELS = ("vector", "scalar", "batched")
@@ -215,26 +211,9 @@ _SWEEP_CACHE_SIZE = 16
 _SWEEP_STATS = {"sweep_memo_hits": 0, "sweep_memo_misses": 0}
 
 
-def _memo_limit() -> int:
-    """Sweep-memo capacity, read from ``REPRO_SWEEP_MEMO`` on every
-    insertion (fork-safe, like the kernel selection itself)."""
-    raw = os.environ.get(ENV_MEMO)
-    if raw is None:
-        return _SWEEP_CACHE_SIZE
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_MEMO}={raw!r} is not an integer memo size") from None
-    if limit < 1:
-        raise ValueError(f"{ENV_MEMO} must be >= 1, got {limit}")
-    return limit
-
-
 def _memo_store(full_key, result: SweepResult) -> None:
-    limit = _memo_limit()
     _SWEEP_CACHE[full_key] = result
-    while len(_SWEEP_CACHE) > limit:
+    while len(_SWEEP_CACHE) > _SWEEP_CACHE_SIZE:
         _SWEEP_CACHE.popitem(last=False)
 
 

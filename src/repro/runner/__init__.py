@@ -24,8 +24,8 @@ The runner is the substrate every large-scale experiment stands on:
   (heartbeat, expiry, reclaim), plus the :func:`merge_results` step
   that reassembles per-worker rows into one bit-identical result set.
 * :mod:`repro.runner.instancestore` — the shared mmap-backed store of
-  materialized instance payloads plus the per-process build memo, so no
-  process ever tabulates the same cost matrix twice.
+  materialized instance payloads (each instance tabulated once) plus a
+  small per-process build memo for store-less runs.
 * :mod:`repro.runner.jobcache` — the per-job content-addressed result
   store behind incremental grids (JSON-dir or single-file SQLite
   backend): one record per job / instance optimum, shared by every

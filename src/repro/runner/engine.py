@@ -1,4 +1,4 @@
-"""Zero-rebuild pipelined batch engine for experiment grids.
+"""Pipelined batch engine for experiment grids.
 
 A :class:`GridSpec` names the cartesian product of
 (scenario x algorithm x seed x horizon x params); the engine *streams*
@@ -14,8 +14,11 @@ in-process or on a persistent process pool with fused chunking:
   and its dense payload written to the content-addressed
   :class:`~repro.runner.instancestore.InstanceStore`; later phases (and
   every other grid sharing the store) reopen it read-only via ``mmap``
-  instead of re-tabulating cost matrices.  Even without a store, a
-  per-process memo guarantees no process builds the same instance twice.
+  instead of re-tabulating cost matrices.  Without a store only a
+  small per-process memo (8 instances) saves rebuilds: once a chunk
+  covers more than 8 instances, phase 1, the phase-2 shared replay and
+  the phase-2 solo jobs each build every instance again — 3 builds
+  per instance (docs/ARCHITECTURE.md §2).
 * **Phase 1 — instances.**  Each distinct instance's offline optimum is
   solved exactly once, however many algorithms the grid runs on it.
   Optima are persisted when a cache directory is given, so a grid with
@@ -97,9 +100,8 @@ from .. import kernels
 from . import faults, instancestore, jobcache
 from .executor import (EngineConfig, PipelineBatch, RetryPolicy, RunStats,
                        chunk_list, iter_batches, parallel_map,
-                       pool_generation, resolve_config, respawn_pool,
-                       retry_sleep, run_pipeline, shutdown_pool,
-                       submit_task)
+                       pool_generation, respawn_pool, retry_sleep,
+                       run_args, run_pipeline, shutdown_pool, submit_task)
 from .instancestore import InstanceStore, get_instance
 from .jobcache import JobCache, content_key
 from .sinks import ListSink
@@ -121,13 +123,6 @@ __all__ = [
 #: (v5: memoryless f-bar evaluation shared between the per-step and the
 #: vectorized-kernel paths, which may shift cached costs by ulps)
 ENGINE_VERSION = 5
-
-# Historical names for the executor helpers.  The engine calls them
-# through its own globals, so tests monkeypatching
-# ``engine._submit_task`` / ``engine._batches`` keep intercepting.
-_submit_task = submit_task
-_chunk_list = chunk_list
-_batches = iter_batches
 
 _JOB_FIELDS = ("scenario", "algorithm", "T", "inst_seed", "seed",
                "lookahead", "params")
@@ -176,6 +171,7 @@ class GridSpec:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "sizes", tuple(int(t) for t in self.sizes))
+        object.__setattr__(self, "lookahead", int(self.lookahead))
         object.__setattr__(self, "params",
                            tuple(_canonical_params(p) for p in self.params))
         if not (self.scenarios and self.algorithms and self.seeds
@@ -186,6 +182,8 @@ class GridSpec:
             raise ValueError("seeds must be non-negative")
         if any(t < 1 for t in self.sizes):
             raise ValueError("sizes must be positive horizons")
+        if self.lookahead < 0:
+            raise ValueError("lookahead must be non-negative")
 
     def to_dict(self) -> dict:
         """JSON-canonical form (lists, not tuples)."""
@@ -933,12 +931,12 @@ class _GridRun:
         ``BrokenProcessPool`` can be attributed to the right pool
         incarnation (and the chunk resubmitted on a fresh one)."""
         try:
-            future = _submit_task(fn, payload, self.n_jobs)
+            future = submit_task(fn, payload, self.n_jobs)
         except BrokenProcessPool:
             # the pool died between harvests: retire it and retry the
             # submission once on the respawned pool
             self._pool_failure(pool_generation())
-            future = _submit_task(fn, payload, self.n_jobs)
+            future = submit_task(fn, payload, self.n_jobs)
         if self.n_jobs > 1:
             self.future_gen[future] = pool_generation()
         return future
@@ -1046,8 +1044,8 @@ class _GridRun:
                     st.mat_borrowed.append(shared)
                 elif not store.has(coords):
                     missing.append(coords)
-            for chunk in _chunk_list(missing, self.n_jobs,
-                                     self.chunk_jobs):
+            for chunk in chunk_list(missing, self.n_jobs,
+                                    self.chunk_jobs):
                 future = self._submit(instancestore._materialize_chunk,
                                       (chunk, self.store_root))
                 st.mat_futures.append((chunk, future))
@@ -1057,8 +1055,8 @@ class _GridRun:
 
     def submit_solves(self, st: _BatchState) -> None:
         """Submit the batch's phase-1 optimum solves as fused chunks."""
-        for chunk in _chunk_list(st.to_solve, self.n_jobs,
-                                 self.chunk_jobs):
+        for chunk in chunk_list(st.to_solve, self.n_jobs,
+                                self.chunk_jobs):
             future = self._submit(_solve_chunk_retry,
                                   (chunk, self.store_root, self.policy))
             st.solve_chunks.append([chunk, future])
@@ -1068,8 +1066,8 @@ class _GridRun:
 
     def submit_runs(self, st: _BatchState) -> None:
         """Submit the batch's phase-2 algorithm jobs as fused chunks."""
-        for chunk in _chunk_list(st.pending, self.n_jobs,
-                                 self.chunk_jobs):
+        for chunk in chunk_list(st.pending, self.n_jobs,
+                                self.chunk_jobs):
             tasks = [(job, st.records[_instance_coords(job)],
                       self.store_root)
                      for _i, job, _key in chunk]
@@ -1225,41 +1223,23 @@ class _GridRun:
         st.run_futures = remaining
 
 
-#: the stats-dict keys ``run_grid`` historically reported
-_GRID_STAT_KEYS = (
-    "job_hits", "job_misses", "opt_hits", "opt_solved",
-    "inst_materialized", "batches", "max_pending", "rows_written",
-    "overlapped_batches", "inflight_max", "inst_builds", "inst_loads",
-    "inst_memo_hits", "sweep_memo_hits", "sweep_memo_misses",
-    "retries", "quarantined", "pool_restarts", "cache_put_failures",
-    "sqlite_busy_retries")
-
-#: keyword arguments the pre-``EngineConfig`` ``run_grid`` accepted
-_RUN_GRID_KWARGS = frozenset(
-    {"n_jobs", "cache_dir", "store_dir", "force", "sink", "batch_size",
-     "pipeline_depth", "chunk_jobs"})
-
-
 def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
-             stats=None, job_slice: tuple[int, int] | None = None,
-             **legacy):
+             stats: RunStats | None = None,
+             job_slice: tuple[int, int] | None = None):
     """Stream every job of a grid through the pipelined three-phase
     engine.
 
-    Execution is configured by an :class:`EngineConfig` (the legacy
-    keyword arguments — ``n_jobs``, ``cache_dir``, ``store_dir``,
-    ``force``, ``sink``, ``batch_size``, ``pipeline_depth``,
-    ``chunk_jobs`` — still work through a deprecation shim that folds
-    them into the config).  Jobs are generated lazily and executed in
-    bounded batches of ``batch_size`` (``None`` = one batch); each
-    batch's finished rows are flushed — in job order — to the result
-    ``sink`` (:mod:`repro.runner.sinks`).  With the default
-    ``sink=None`` an in-memory :class:`~repro.runner.sinks.ListSink`
-    collects the rows and ``run_grid`` returns the historical
-    ``list[dict]``; with a file-backed sink the parent holds at most
-    O(``pipeline_depth`` x ``batch_size``) pending rows (the
-    ``max_pending`` stat reports the observed peak) and ``run_grid``
-    returns ``sink.result()``.
+    Execution is configured by ``config``, an :class:`EngineConfig`
+    (``None`` = the defaults), whose fields are named below.  Jobs are
+    generated lazily and executed in bounded batches of ``batch_size``
+    (``None`` = one batch); each batch's finished rows are flushed — in
+    job order — to the result ``sink`` (:mod:`repro.runner.sinks`).
+    With the default ``sink=None`` an in-memory
+    :class:`~repro.runner.sinks.ListSink` collects the rows and
+    ``run_grid`` returns the historical ``list[dict]``; with a
+    file-backed sink the parent holds at most O(``pipeline_depth`` x
+    ``batch_size``) pending rows (the ``max_pending`` stat reports the
+    observed peak) and ``run_grid`` returns ``sink.result()``.
 
     With ``n_jobs > 1`` batches are *double-buffered* on the persistent
     pool (:func:`~repro.runner.executor.run_pipeline` — the scheduling
@@ -1292,24 +1272,24 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     still seeded from its coordinates alone, so the concatenation of
     disjoint slices is bit-identical to the unsliced run.
 
-    ``stats`` may be a :class:`RunStats` (typed counters, accumulated
-    in place — pass the same object across calls to total a worker's
-    leases) or a plain dict, which receives the historical key set:
-    ``job_hits``, ``job_misses``, ``opt_hits``, ``opt_solved``,
-    ``batches``, ``max_pending`` (peak result rows held in the parent
-    at once — bounded by ``pipeline_depth x batch_size``),
-    ``rows_written``, ``overlapped_batches`` (batches admitted while an
-    earlier batch still had unfinished worker tasks — 0 on the serial
-    path, > 0 proves pipeline overlap), ``inflight_max`` (peak
-    simultaneously admitted batches), ``inst_materialized`` (instances
-    newly written to the store this call, wherever the build ran), plus
-    this process's instance-resolution deltas ``inst_builds`` (scenario
-    builds — with a store, at most one per distinct instance
-    end-to-end), ``inst_loads`` (store mmap loads) and
-    ``inst_memo_hits``.
+    ``stats`` is a :class:`RunStats` the run's counters accumulate
+    into in place (pass the same object across calls to total a
+    worker's leases): ``job_hits``, ``job_misses``, ``opt_hits``,
+    ``opt_solved``, ``batches``, ``max_pending`` (peak result rows held
+    in the parent at once — bounded by ``pipeline_depth x
+    batch_size``), ``rows_written``, ``overlapped_batches`` (batches
+    admitted while an earlier batch still had unfinished worker tasks —
+    0 on the serial path, > 0 proves pipeline overlap),
+    ``inflight_max`` (peak simultaneously admitted batches),
+    ``inst_materialized`` (instances newly written to the store this
+    call, wherever the build ran), plus this process's
+    instance-resolution deltas ``inst_builds`` (scenario builds — with
+    a store, at most one per distinct instance end-to-end),
+    ``inst_loads`` (store mmap loads) and ``inst_memo_hits``.  A
+    ``config`` or ``stats`` of any other type raises
+    :class:`TypeError` before the sink is opened.
     """
-    config = resolve_config(config, legacy, what="run_grid",
-                            allowed=_RUN_GRID_KWARGS)
+    config, run_stats = run_args(config, stats)
     cache = (config.cache_dir if isinstance(config.cache_dir, JobCache)
              else JobCache(config.cache_dir)
              if config.cache_dir is not None else None)
@@ -1325,8 +1305,7 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
             raise ValueError(f"job_slice {job_slice!r} out of range "
                              f"for a {len(spec)}-job grid")
         jobs = itertools.islice(jobs, start, stop)
-    batches_iter = _batches(jobs, config.batch_size)
-    run_stats = stats if isinstance(stats, RunStats) else RunStats()
+    batches_iter = iter_batches(jobs, config.batch_size)
     inst_stats_before = instancestore.build_stats()
     sweep_stats_before = kernels.sweep_stats()
     busy_stats_before = jobcache.busy_stats()
@@ -1371,8 +1350,6 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     for key in busy_stats:
         setattr(run_stats, key, getattr(run_stats, key)
                 + busy_stats[key] - busy_stats_before[key])
-    if isinstance(stats, dict):
-        stats.update({k: getattr(run_stats, k) for k in _GRID_STAT_KEYS})
     return sink.result()
 
 

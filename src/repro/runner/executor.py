@@ -42,7 +42,6 @@ import dataclasses
 import itertools
 import multiprocessing
 import time
-import warnings
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, wait)
 
@@ -58,8 +57,8 @@ __all__ = [
     "iter_batches",
     "parallel_map",
     "pool_generation",
-    "resolve_config",
     "respawn_pool",
+    "run_args",
     "run_pipeline",
     "shutdown_pool",
     "submit_task",
@@ -78,19 +77,18 @@ DEFAULT_PIPELINE_DEPTH = 2
 class EngineConfig:
     """Execution configuration shared by every executor consumer.
 
-    One value object carries what used to be ``run_grid``'s sprawling
-    keyword surface; :func:`~repro.runner.engine.run_grid`,
+    The one way to configure a run:
+    :func:`~repro.runner.engine.run_grid`,
     :func:`~repro.analysis.sweep.sweep` and the lease-queue worker loop
-    (:func:`~repro.runner.leasequeue.work`) all accept a ``config=``
-    instance.  Legacy keyword arguments keep working through a
-    deprecation shim (:func:`resolve_config`) that folds them into the
-    config.  Frozen: derive variants with :func:`dataclasses.replace`.
+    (:func:`~repro.runner.leasequeue.work`) take a ``config=``
+    instance (``None`` means the defaults) and no execution keyword
+    arguments.  Frozen: derive variants with :func:`dataclasses.replace`.
 
     ``cache_dir`` may be a directory path or a ready-made
     :class:`~repro.runner.jobcache.JobCache`; ``sink`` a
     :class:`~repro.runner.sinks.ResultSink` (``None`` collects rows in
     memory); ``batch_size=None`` runs one batch; ``chunk_jobs=None``
-    auto-sizes fused dispatch (``sweep`` spells it ``chunk_points``).
+    auto-sizes fused dispatch (``1`` disables fusion).
 
     The fault-tolerance knobs: a failing job is retried up to
     ``max_retries`` times (deterministic exponential backoff starting
@@ -115,52 +113,13 @@ class EngineConfig:
     fault_plan: object = None
 
 
-#: legacy keyword spellings that map onto a differently named field
-_LEGACY_ALIASES = {"chunk_points": "chunk_jobs"}
-
-
-def resolve_config(config, legacy, *, what, allowed=None):
-    """Fold legacy keyword arguments into an :class:`EngineConfig`.
-
-    ``config=None`` starts from the defaults.  Any entry in ``legacy``
-    (the caller's ``**kwargs``) emits one :class:`DeprecationWarning`
-    and overrides the corresponding config field; unknown names — or
-    names outside ``allowed``, for callers that historically exposed
-    only a subset — raise :class:`TypeError` exactly like a misspelled
-    keyword argument would.
-    """
-    if config is None:
-        config = EngineConfig()
-    elif not isinstance(config, EngineConfig):
-        raise TypeError(f"config must be an EngineConfig or None, "
-                        f"got {config!r}")
-    if not legacy:
-        return config
-    fields = {f.name for f in dataclasses.fields(EngineConfig)}
-    updates = {}
-    for name, value in legacy.items():
-        target = _LEGACY_ALIASES.get(name, name)
-        if target not in fields or (allowed is not None
-                                    and name not in allowed):
-            raise TypeError(
-                f"{what}() got an unexpected keyword argument {name!r}")
-        updates[target] = value
-    warnings.warn(
-        f"passing {sorted(legacy)} to {what}() as keyword arguments is "
-        f"deprecated; pass config=EngineConfig(...) instead",
-        DeprecationWarning, stacklevel=3)
-    return dataclasses.replace(config, **updates)
-
-
 @dataclasses.dataclass
 class RunStats:
-    """Typed execution counters (the successor of the ``stats`` dict).
+    """Typed execution counters every run entry point reports.
 
     One instance may be threaded through several runs — e.g. every
     lease a worker drains — and keeps accumulating: counts add up,
     peaks (``max_pending``, ``inflight_max``) take the maximum.
-    :meth:`as_dict` returns the plain-dict view existing tests and CI
-    assertions were written against.
     """
 
     #: per-job cache hits / executed jobs (``run_grid``)
@@ -204,20 +163,31 @@ class RunStats:
     #: (parent-process delta, like the sweep-memo counters above)
     sqlite_busy_retries: int = 0
 
-    def as_dict(self) -> dict:
-        """Plain-dict view of every counter (legacy ``stats`` shape)."""
-        return dataclasses.asdict(self)
-
-    def __getitem__(self, name: str) -> int:
-        """Dict-style read access, so ``stats["job_hits"]`` keeps
-        working on the typed object."""
-        if name not in {f.name for f in dataclasses.fields(self)}:
-            raise KeyError(name)
-        return getattr(self, name)
-
     def merge_max(self, name: str, value: int) -> None:
         """Fold a peak observation into counter ``name`` (max, not +=)."""
         setattr(self, name, max(getattr(self, name), value))
+
+
+def run_args(config, stats) -> tuple[EngineConfig, RunStats]:
+    """The ``(config, stats)`` pair a run entry point executes with.
+
+    ``None`` selects the defaults (a fresh :class:`RunStats` when the
+    caller does not collect counters).  Anything else that is not an
+    :class:`EngineConfig` / :class:`RunStats` raises :class:`TypeError`
+    — entry points call this first, so a wrong type fails before any
+    sink, cache or queue is opened.
+    """
+    if config is None:
+        config = EngineConfig()
+    elif not isinstance(config, EngineConfig):
+        raise TypeError(f"config must be an EngineConfig or None, "
+                        f"got {type(config).__name__}")
+    if stats is None:
+        stats = RunStats()
+    elif not isinstance(stats, RunStats):
+        raise TypeError(f"stats must be a RunStats or None, "
+                        f"got {type(stats).__name__}")
+    return config, stats
 
 
 # ----------------------------------------------------------------------

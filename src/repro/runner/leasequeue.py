@@ -47,7 +47,7 @@ import time
 
 from . import faults
 from .engine import ENGINE_VERSION, GridSpec, run_grid
-from .executor import EngineConfig, RunStats
+from .executor import EngineConfig, RunStats, run_args
 from .jobcache import connect_wal, with_busy_retry
 from .sinks import JsonlSink, ListSink, MergeError
 
@@ -58,6 +58,7 @@ __all__ = [
     "LeaseLost",
     "LeaseQueue",
     "MergeError",
+    "OverBudget",
     "failed_jobs",
     "grid_status",
     "merge_results",
@@ -86,6 +87,12 @@ class LeaseLost(RuntimeError):
     catches it, abandons the range (another worker owns it now — the
     job cache keeps whatever was already computed) and claims afresh.
     """
+
+
+class OverBudget(RuntimeError):
+    """:meth:`LeaseQueue.enqueue` refused a grid (and wrote nothing):
+    admitting it would push the queue's outstanding jobs past the
+    ``budget`` it was given."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,7 +200,7 @@ class LeaseQueue:
 
     def enqueue(self, spec: GridSpec, *,
                 lease_jobs: int = DEFAULT_LEASE_JOBS,
-                jobs=None) -> str:
+                jobs=None, budget: int | None = None) -> str:
         """Split ``spec`` into contiguous leases; return its grid id.
 
         Idempotent: enqueueing a spec that is already queued (same
@@ -207,6 +214,13 @@ class LeaseQueue:
         coverage check expects the caller to supply the skipped rows
         (cache-hit envelopes).  An empty subset enqueues the grid
         with no leases at all: immediately finished.
+
+        ``budget`` (the grid service's admission control) caps the
+        queue's outstanding jobs: a new grid whose leases would push
+        :meth:`outstanding_jobs` past it is refused with
+        :class:`OverBudget` and nothing is written.  The check runs
+        inside the enqueue transaction, so concurrent submitters are
+        admitted one at a time against the same total.
         """
         if lease_jobs < 1:
             raise ValueError("lease_jobs must be positive")
@@ -222,6 +236,7 @@ class LeaseQueue:
                 raise ValueError(f"job indexes out of range for a "
                                  f"{total}-job grid")
             ranges = _contiguous_runs(indexes, lease_jobs)
+        requested = sum(stop - start for start, stop in ranges)
 
         def _attempt():
             conn = self._txn()
@@ -230,6 +245,13 @@ class LeaseQueue:
                     "SELECT total FROM grids WHERE grid_id = ?",
                     (grid_id,)).fetchone()
                 if row is None:
+                    if budget is not None:
+                        outstanding = self.outstanding_jobs()
+                        if outstanding + requested > budget:
+                            raise OverBudget(
+                                f"queue holds {outstanding} outstanding "
+                                f"jobs; admitting {requested} more would "
+                                f"exceed the budget of {budget}")
                     conn.execute(
                         "INSERT INTO grids (grid_id, spec, total,"
                         " lease_jobs, created) VALUES (?, ?, ?, ?, ?)",
@@ -510,12 +532,14 @@ def work(root, *, worker: str | None = None,
     :class:`~repro.runner.executor.RunStats` (pass ``stats`` to
     accumulate across calls): ``leases_claimed`` / ``leases_completed``
     / ``leases_reclaimed`` / ``leases_lost`` plus the ordinary engine
-    counters summed over every lease this worker ran.
+    counters summed over every lease this worker ran.  A ``config``
+    or ``stats`` that is not an :class:`EngineConfig` /
+    :class:`RunStats` raises :class:`TypeError` before the queue is
+    opened.
     """
+    config, run_stats = run_args(config, stats)
     queue = root if isinstance(root, LeaseQueue) else LeaseQueue(root)
-    config = EngineConfig() if config is None else config
     worker = default_worker_id() if worker is None else worker
-    run_stats = stats if isinstance(stats, RunStats) else RunStats()
     claimed = 0
     while max_leases is None or claimed < max_leases:
         run_stats.leases_reclaimed += queue.reclaim_expired(grid_id)

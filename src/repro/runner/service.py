@@ -51,9 +51,10 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .engine import GridSpec, job_key
+from .engine import GridSpec, _validate_pipelines, job_key
 from .jobcache import JobCache
-from .leasequeue import DEFAULT_LEASE_JOBS, LeaseQueue, grid_status
+from .leasequeue import (DEFAULT_LEASE_JOBS, LeaseQueue, OverBudget,
+                         grid_status)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -270,13 +271,20 @@ class GridService:
     # -- endpoints -----------------------------------------------------
 
     def _parse_spec(self, body) -> GridSpec:
-        """The submitted :class:`GridSpec`, or a 400 envelope."""
+        """The submitted :class:`GridSpec`, or a 400 envelope.
+
+        Runs the engine's own up-front validation, so a spec every
+        worker would reject (unknown algorithm or scenario, a pipeline
+        the scenario cannot build, unknown params) is refused here
+        instead of being enqueued as a lease no worker can finish."""
         if not isinstance(body, dict):
             raise ServiceError(400, "bad_request",
                                "POST /grids expects a GridSpec JSON "
                                "object")
         try:
-            return GridSpec.from_dict(body)
+            spec = GridSpec.from_dict(body)
+            _validate_pipelines(spec)
+            return spec
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(400, "bad_spec",
                                f"not a valid grid spec: {exc}"
@@ -331,17 +339,16 @@ class GridService:
             hits = self._probe_cache(spec)
             misses = [seq for seq in range(len(spec))
                       if seq not in hits]
-            outstanding = queue.outstanding_jobs()
-            if outstanding + len(misses) > self.budget:
-                raise ServiceError(
-                    429, "over_budget",
-                    f"queue holds {outstanding} outstanding jobs; "
-                    f"admitting {len(misses)} more would exceed the "
-                    f"budget of {self.budget}",
-                    headers={"Retry-After": "1"})
+            # hit rows go out before the enqueue decides on admission:
+            # a refused grid leaves envelopes the merge dedupes by seq
             self._write_hits(queue, grid_id, hits)
-            queue.enqueue(spec, lease_jobs=self.lease_jobs,
-                          jobs=misses)
+            try:
+                queue.enqueue(spec, lease_jobs=self.lease_jobs,
+                              jobs=misses, budget=self.budget)
+            except OverBudget as exc:
+                raise ServiceError(429, "over_budget", str(exc),
+                                   headers={"Retry-After": "1"}
+                                   ) from None
             counts = queue.counts(grid_id)
             return 202, {"grid": grid_id, "total": len(spec),
                          "resubmitted": False,

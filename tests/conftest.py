@@ -45,7 +45,7 @@ def _isolate_executor_state():
     The pinned-down cross-test coupling behind that flake is wider
     than the pool object itself: pool workers fork a *snapshot* of the
     parent — its ``REPRO_*`` environment (kernel selection, fault
-    plan, memo sizing), its sweep memo and its instance memo — so any
+    plan), its sweep memo and its instance memo — so any
     test that leaks one of those changes what later-forked workers
     compute relative to the in-process reference run.  Restore the
     environment knobs and drop the per-process memos after every test;
@@ -56,7 +56,7 @@ def _isolate_executor_state():
 
     from repro import kernels
     from repro.runner import executor, faults, instancestore
-    env_keys = (kernels.ENV_VAR, kernels.ENV_MEMO, faults.ENV_VAR)
+    env_keys = (kernels.ENV_VAR, faults.ENV_VAR)
     env_before = {key: os.environ.get(key) for key in env_keys}
     pool_before = executor._POOL
     yield

@@ -1,6 +1,7 @@
 """Tests for the shared pipelined executor: the run_pipeline contract
-(in-order flush, overlap counters, abort drain), EngineConfig with its
-legacy-kwargs deprecation shim, typed RunStats, and job_slice."""
+(in-order flush, overlap counters, abort drain), the one run API
+(EngineConfig in, RunStats out, TypeError for anything else), and
+job_slice."""
 
 import dataclasses
 import threading
@@ -9,9 +10,10 @@ from concurrent.futures import Future
 import pytest
 
 from repro.analysis import sweep
-from repro.runner import EngineConfig, GridSpec, RunStats, run_grid
+from repro.runner import (EngineConfig, GridSpec, ListSink, RunStats,
+                          run_grid, work)
 from repro.runner.executor import (PipelineBatch, chunk_list, iter_batches,
-                                   resolve_config, run_pipeline)
+                                   run_args, run_pipeline)
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
                  seeds=(0, 1), sizes=(16,))
@@ -223,65 +225,66 @@ class TestBatchingHelpers:
 
 
 # ----------------------------------------------------------------------
-# EngineConfig and the legacy-kwargs deprecation shim.
+# EngineConfig in, RunStats out: the one run API and its type check.
 # ----------------------------------------------------------------------
+
+class _OpenSpy(ListSink):
+    """List sink that records whether an entry point ever opened it."""
+
+    def __init__(self):
+        super().__init__()
+        self.opened = False
+
+    def open(self, meta=None):
+        self.opened = True
+        super().open(meta)
+
 
 class TestEngineConfig:
     def test_resolve_none_gives_defaults(self):
-        config = resolve_config(None, {}, what="f")
+        config, stats = run_args(None, None)
         assert config == EngineConfig()
         assert config.n_jobs == 1 and config.pipeline_depth == 2
+        assert stats == RunStats()
 
     def test_resolve_passes_config_through_unchanged(self):
-        config = EngineConfig(n_jobs=3)
-        assert resolve_config(config, {}, what="f") is config
+        config, stats = EngineConfig(n_jobs=3), RunStats(batches=2)
+        out_config, out_stats = run_args(config, stats)
+        assert out_config is config
+        assert out_stats is stats    # counters accumulate in place
 
-    def test_legacy_kwargs_warn_and_override(self):
-        config = EngineConfig(n_jobs=3)
-        with pytest.warns(DeprecationWarning, match="batch_size"):
-            out = resolve_config(config, {"batch_size": 4}, what="f")
-        assert out.batch_size == 4
-        assert out.n_jobs == 3          # untouched fields survive
-        assert config.batch_size is None  # frozen original unchanged
-
-    def test_chunk_points_alias_maps_to_chunk_jobs(self):
-        with pytest.warns(DeprecationWarning):
-            out = resolve_config(None, {"chunk_points": 5}, what="sweep")
-        assert out.chunk_jobs == 5
-
-    def test_unknown_kwarg_raises_type_error(self):
+    def test_unknown_kwarg_raises_type_error(self, tmp_path):
         with pytest.raises(TypeError, match="bogus"):
-            resolve_config(None, {"bogus": 1}, what="f")
+            sweep(_measure, {"x": [1]}, bogus=1)
+        with pytest.raises(TypeError, match="bogus"):
+            work(tmp_path / "queue", bogus=1)
 
     def test_disallowed_kwarg_raises_type_error(self):
-        with pytest.raises(TypeError, match="store_dir"):
-            resolve_config(None, {"store_dir": "/tmp"}, what="sweep",
-                           allowed=frozenset({"n_jobs"}))
+        """No EngineConfig field is accepted as a keyword argument: the
+        pre-EngineConfig spellings (``n_jobs=2``, ``batch_size=3``, ...)
+        are plain TypeErrors, not deprecation warnings."""
+        for field in dataclasses.fields(EngineConfig):
+            kwargs = {field.name: field.default}
+            with pytest.raises(TypeError, match=field.name):
+                run_grid(SMALL, **kwargs)
+            with pytest.raises(TypeError, match=field.name):
+                sweep(_measure, {"x": [1]}, **kwargs)
 
     def test_non_config_positional_raises(self):
         with pytest.raises(TypeError, match="EngineConfig"):
-            resolve_config({"n_jobs": 2}, {}, what="f")
+            run_args({"n_jobs": 2}, None)
+        with pytest.raises(TypeError, match="EngineConfig"):
+            run_grid(SMALL, {"n_jobs": 2})
+        with pytest.raises(TypeError, match="EngineConfig"):
+            sweep(_measure, {"x": [1]}, {"n_jobs": 2})
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             EngineConfig().n_jobs = 2
 
-    def test_run_grid_legacy_kwargs_warn_and_match_config(self):
-        ref = run_grid(SMALL, EngineConfig(batch_size=3))
-        with pytest.warns(DeprecationWarning, match="run_grid"):
-            legacy = run_grid(SMALL, batch_size=3)
-        assert legacy == ref
-
     def test_run_grid_unknown_kwarg(self):
         with pytest.raises(TypeError, match="bogus"):
             run_grid(SMALL, bogus=1)
-
-    def test_sweep_legacy_kwargs_warn_and_match_config(self):
-        grid = {"x": [1, 2, 3]}
-        ref = sweep(_measure, grid, EngineConfig(batch_size=2))
-        with pytest.warns(DeprecationWarning, match="sweep"):
-            legacy = sweep(_measure, grid, batch_size=2)
-        assert legacy == ref
 
     def test_sweep_rejects_engine_only_kwargs(self):
         with pytest.raises(TypeError, match="store_dir"):
@@ -289,22 +292,10 @@ class TestEngineConfig:
 
 
 # ----------------------------------------------------------------------
-# RunStats: typed counters, legacy dict view, accumulation.
+# RunStats: typed counters, accumulation, no dict stand-in.
 # ----------------------------------------------------------------------
 
 class TestRunStats:
-    def test_as_dict_covers_every_counter(self):
-        stats = RunStats(job_hits=2, batches=1)
-        d = stats.as_dict()
-        assert d["job_hits"] == 2 and d["batches"] == 1
-        assert set(d) == {f.name for f in dataclasses.fields(RunStats)}
-
-    def test_getitem_and_keyerror(self):
-        stats = RunStats(rows_written=7)
-        assert stats["rows_written"] == 7
-        with pytest.raises(KeyError):
-            stats["nope"]
-
     def test_merge_max(self):
         stats = RunStats(max_pending=4)
         stats.merge_max("max_pending", 2)
@@ -321,20 +312,26 @@ class TestRunStats:
         assert stats.batches == 2 * first_batches   # counts accumulate
         assert stats.rows_written == 2 * len(SMALL)
 
-    def test_run_grid_legacy_dict_keeps_historical_keys(self, tmp_path):
-        stats = {}
-        run_grid(SMALL, EngineConfig(cache_dir=tmp_path), stats=stats)
-        for key in ("job_hits", "job_misses", "opt_hits", "opt_solved",
-                    "batches", "max_pending", "rows_written",
-                    "overlapped_batches", "inflight_max"):
-            assert key in stats, key
-        assert "leases_claimed" not in stats  # new counters stay typed
+    def test_run_grid_rejects_dict_stats_before_sink_opens(self):
+        sink = _OpenSpy()
+        config = EngineConfig(sink=sink)
+        with pytest.raises(TypeError, match="RunStats"):
+            run_grid(SMALL, config, stats={})
+        assert not sink.opened
 
-    def test_sweep_legacy_dict_gets_hits_misses_only(self, tmp_path):
-        stats = {}
-        sweep(_measure, {"x": [1, 2]},
-              EngineConfig(cache_dir=tmp_path), stats=stats)
-        assert stats == {"hits": 0, "misses": 2}
+    def test_sweep_rejects_dict_stats_before_sink_opens(self):
+        sink = _OpenSpy()
+        config = EngineConfig(sink=sink)
+        with pytest.raises(TypeError, match="RunStats"):
+            sweep(_measure, {"x": [1, 2]}, config, stats={})
+        assert not sink.opened
+
+    def test_work_rejects_dict_stats_before_queue_opens(self, tmp_path):
+        with pytest.raises(TypeError, match="RunStats"):
+            work(tmp_path / "queue", stats={})
+        with pytest.raises(TypeError, match="EngineConfig"):
+            work(tmp_path / "queue", config={"n_jobs": 2})
+        assert not (tmp_path / "queue").exists()
 
 
 # ----------------------------------------------------------------------

@@ -102,6 +102,7 @@ class TestRetryAndQuarantine:
             **FAST), stats=stats)
         assert rows == clean
         assert stats.retries == 1 and stats.quarantined == 0
+        assert stats.pool_restarts == 0
 
     def test_retry_then_succeed_exact_attempt_count(self, monkeypatch):
         """Two injected failures burn exactly two retries; the job body
@@ -397,12 +398,3 @@ class TestRunGridHygiene:
         assert faults.active_plan() is None
         assert run_grid(GRID) == run_grid(GRID)
 
-    def test_stats_counters_reported_in_dict_form(self):
-        stats: dict = {}
-        run_grid(GRID, EngineConfig(
-            fault_plan=plan_of(
-                FaultSpec(site="run_job", match=LCP0, nth=(1,))),
-            **FAST), stats=stats)
-        assert stats["retries"] == 1
-        assert stats["quarantined"] == 0
-        assert stats["pool_restarts"] == 0

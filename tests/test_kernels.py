@@ -20,7 +20,7 @@ from repro.offline import solve_backward_lcp, solve_dp
 from repro.offline.backward import prefix_bounds
 from repro.online import run_online, run_online_many
 from repro.online.workfunction import WorkFunctions
-from repro.runner import EngineConfig, GridSpec, run_grid
+from repro.runner import EngineConfig, GridSpec, RunStats, run_grid
 from repro.runner.registry import _REGISTRY, get_spec
 from repro.runner.scenarios import build_instance
 
@@ -216,21 +216,19 @@ class TestBatchedKernel:
             assert np.array_equal(out[k].lo, ref.lo)
         kernels.clear_sweep_cache()
 
-    def test_memo_size_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_MEMO, "2")
+    def test_memo_evicts_least_recent_past_capacity(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_SWEEP_CACHE_SIZE", 2)
         kernels.clear_sweep_cache()
         tab = np.ones((6, 4))
         with kernels.use("vector"):
-            for k in range(5):
+            for k in range(3):
                 kernels.cached_sweep(("m", k), tab, 1.0)
-            assert kernels.peek_sweep(("m", 4)) is not None
-            assert kernels.peek_sweep(("m", 0)) is None
-        monkeypatch.setenv(kernels.ENV_MEMO, "nope")
-        with pytest.raises(ValueError):
-            kernels.cached_sweep(("m", 9), tab, 1.0)
-        monkeypatch.setenv(kernels.ENV_MEMO, "0")
-        with pytest.raises(ValueError):
-            kernels.cached_sweep(("m", 9), tab, 1.0)
+            assert kernels.peek_sweep(("m", 0), touch=False) is None
+            kernels.cached_sweep(("m", 1), tab, 1.0)   # refresh 1
+            kernels.cached_sweep(("m", 3), tab, 1.0)   # evicts 2
+            assert kernels.peek_sweep(("m", 1), touch=False) is not None
+            assert kernels.peek_sweep(("m", 2), touch=False) is None
+            assert kernels.peek_sweep(("m", 3), touch=False) is not None
         kernels.clear_sweep_cache()
 
     def test_sweep_stats_count_hits_and_misses(self):
@@ -527,14 +525,14 @@ class TestEngineGrids:
         spec = GridSpec(scenarios=("diurnal",),
                         algorithms=("lcp", "eager-lcp", "backward_lcp"),
                         seeds=(0, 1), sizes=(24,))
-        stats: dict = {}
+        stats = RunStats()
         kernels.clear_sweep_cache()
         with kernels.use("batched"):
             run_grid(spec, stats=stats)
         kernels.clear_sweep_cache()
-        assert stats["sweep_memo_misses"] == 2   # one per instance
+        assert stats.sweep_memo_misses == 2   # one per instance
         # phase-1 optimum + phase-2 shared replay hit per instance
-        assert stats["sweep_memo_hits"] >= 4
+        assert stats.sweep_memo_hits >= 4
 
     def test_fused_chunks_share_one_sweep_with_backward(self):
         """With the vectorized kernel, a fused chunk serves the LCP

@@ -112,6 +112,85 @@ class TestRouting:
         # the refused grid was not partially enqueued
         assert LeaseQueue(tmp_path / "q").grids() == []
 
+    def test_specs_the_engine_rejects_are_400_not_enqueued(self, tmp_path):
+        """A spec every worker would refuse (``run_grid`` validates it
+        up front) must not become a lease no worker can finish."""
+        service = GridService(tmp_path / "q")
+        for bad in (dict(SMALL.to_dict(), algorithms=["no-such-alg"]),
+                    dict(SMALL.to_dict(), scenarios=["no-such-scenario"]),
+                    dict(SMALL.to_dict(), lookahead=-1)):
+            with pytest.raises(ServiceError) as exc_info:
+                service.handle("POST", "/grids", bad)
+            assert exc_info.value.status == 400
+            assert exc_info.value.code == "bad_spec"
+        assert LeaseQueue(tmp_path / "q").grids() == []
+
+
+class TestAdmissionBudget:
+    def test_concurrent_submits_cannot_overrun_the_budget(self, tmp_path):
+        """Three 40-job grids submitted at once against budget=60: the
+        budget is checked inside the enqueue transaction, so exactly one
+        grid is admitted in every trial."""
+        specs = [GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                          seeds=tuple(range(40)), sizes=(T,))
+                 for T in (16, 17, 18)]
+        for trial in range(20):
+            root = tmp_path / f"q{trial}"
+            service = GridService(root, budget=60)
+            barrier = threading.Barrier(len(specs))
+            statuses = []
+
+            def submit(spec):
+                barrier.wait()
+                try:
+                    status, _, _ = service.handle("POST", "/grids",
+                                                  spec.to_dict())
+                except ServiceError as exc:
+                    status = exc.status
+                statuses.append(status)
+
+            threads = [threading.Thread(target=submit, args=(spec,))
+                       for spec in specs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            service._server.server_close()
+            assert sorted(statuses) == [202, 429, 429], (trial, statuses)
+            queue = LeaseQueue(root)
+            assert len(queue.grids()) == 1
+            assert queue.outstanding_jobs() == 40
+            queue.close()
+
+    def test_refused_submit_hits_merge_after_accepted_resubmit(
+            self, tmp_path):
+        """A refused submit has already written its cache-hit rows; the
+        accepted resubmit writes them again, and the merge (deduped by
+        sequence number) is still bit-identical to a local run."""
+        cache = tmp_path / "cache"
+        half = GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                        seeds=(0, 1), sizes=(16,))
+        run_grid(half, EngineConfig(cache_dir=cache))
+        blocker = GridSpec(scenarios=("sawtooth",), algorithms=("lcp",),
+                           seeds=(0,), sizes=(16,))
+        misses = len(SMALL) - len(half)
+        service = GridService(tmp_path / "q", cache_dir=cache,
+                              budget=misses)
+        assert service.handle("POST", "/grids", blocker.to_dict())[0] == 202
+        with pytest.raises(ServiceError) as exc_info:
+            service.handle("POST", "/grids", SMALL.to_dict())
+        assert exc_info.value.status == 429
+        work(tmp_path / "q", worker="w", config=EngineConfig(cache_dir=cache))
+        status, payload, _ = service.handle("POST", "/grids",
+                                            SMALL.to_dict())
+        assert status == 202 and payload["enqueued"] == misses
+        work(tmp_path / "q", worker="w", config=EngineConfig(cache_dir=cache))
+        _, done, _ = service.handle("GET", f"/grids/{payload['grid']}")
+        assert done["state"] == "done"
+        assert done["rows"] == run_grid(SMALL)
+        hit_file = LeaseQueue(tmp_path / "q").worker_path(SERVICE_WORKER)
+        assert len(hit_file.read_text().splitlines()) == 2 * len(half)
+
 
 class TestCacheProbingSubmit:
     def test_warm_cache_submit_is_instantly_done_and_identical(
