@@ -286,6 +286,24 @@ class TestEngineConfig:
         with pytest.raises(TypeError, match="bogus"):
             run_grid(SMALL, bogus=1)
 
+    def test_run_grid_legacy_kwargs_raise_and_config_matches(self):
+        """The keyword spelling ``batch_size=3`` raises; the EngineConfig
+        spelling runs and gives the rows of the default run."""
+        sink = _OpenSpy()
+        with pytest.raises(TypeError, match="batch_size"):
+            run_grid(SMALL, EngineConfig(sink=sink), batch_size=3)
+        assert not sink.opened
+        assert run_grid(SMALL, EngineConfig(batch_size=3)) == run_grid(SMALL)
+
+    def test_sweep_legacy_kwargs_raise_and_config_matches(self):
+        grid = {"x": [1, 2, 3]}
+        sink = _OpenSpy()
+        with pytest.raises(TypeError, match="batch_size"):
+            sweep(_measure, grid, EngineConfig(sink=sink), batch_size=2)
+        assert not sink.opened
+        assert (sweep(_measure, grid, EngineConfig(batch_size=2))
+                == sweep(_measure, grid))
+
     def test_sweep_rejects_engine_only_kwargs(self):
         with pytest.raises(TypeError, match="store_dir"):
             sweep(_measure, {"x": [1]}, store_dir="/tmp")
