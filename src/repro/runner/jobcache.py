@@ -97,16 +97,20 @@ def with_busy_retry(fn, *, retries: int = BUSY_RETRIES,
             _BUSY_SLEEP(min(backoff * 2 ** (attempt - 1), backoff_max))
 
 
-def connect_wal(db_path: pathlib.Path) -> sqlite3.Connection:
+def connect_wal(db_path: pathlib.Path, *,
+                check_same_thread: bool = True) -> sqlite3.Connection:
     """Open ``db_path`` with the cache's WAL machinery: autocommit,
     WAL journal, NORMAL sync and a generous busy timeout, so concurrent
     writers (engine workers, overlapping sweeps, result sinks) are safe.
     Switching a fresh file to WAL takes an exclusive lock the busy
     timeout does not cover, so processes opening one new database at
     the same moment go through :func:`with_busy_retry`.  Shared by the
-    cache backend, the lease queue and :mod:`repro.runner.sinks`."""
+    cache backend, the lease queue and :mod:`repro.runner.sinks`;
+    ``check_same_thread`` is passed to :func:`sqlite3.connect` (only a
+    connection its owner serializes under a lock may turn it off)."""
     db_path.parent.mkdir(parents=True, exist_ok=True)
-    conn = sqlite3.connect(db_path, timeout=30.0, isolation_level=None)
+    conn = sqlite3.connect(db_path, timeout=30.0, isolation_level=None,
+                           check_same_thread=check_same_thread)
     with_busy_retry(lambda: conn.execute("PRAGMA journal_mode=WAL"))
     conn.execute("PRAGMA synchronous=NORMAL")
     return conn

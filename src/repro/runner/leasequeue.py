@@ -18,14 +18,23 @@ over a common filesystem — lease, execute and complete independently:
 * :func:`work` — the worker loop: reclaim expired leases, claim a
   range, replay it through :func:`~repro.runner.engine.run_grid` with
   ``job_slice=(start, stop)``, and mark it done.  Each worker appends
-  ``{"seq": …, "grid": …, "row": …}`` envelopes to its own JSONL
-  results file (heartbeating on every batch flush), and the shared
-  per-job cache dedupes ranges that were partially executed before a
-  crash — a re-run lease replays cached rows instead of recomputing.
-* :func:`merge_results` — collects every worker's envelopes, dedupes
-  by sequence number (first wins; duplicates are checked for
-  equality), asserts the grid is covered exactly, and writes the rows
-  — in grid job order — to an ordinary result sink.
+  ``{"seq": …, "grid": …, "row": …}`` envelopes to one JSONL file per
+  grid, ``results/<grid_id>/<worker>.jsonl`` (heartbeating on every
+  batch flush), and the shared per-job cache dedupes ranges that were
+  partially executed before a crash — a re-run lease replays cached
+  rows instead of recomputing.
+* :func:`merge_results` — collects the grid's envelopes from every
+  worker, dedupes by sequence number (first wins; duplicates are
+  checked for equality), asserts the grid is covered exactly, and
+  writes the rows — in grid job order — to an ordinary result sink.
+  Only the grid's own directory is read (plus the top-level
+  ``results/*.jsonl`` files a queue written before the per-grid layout
+  holds), so a status poll costs one grid's rows, not the history's.
+
+Every :class:`LeaseQueue` connection commits with
+``synchronous=FULL``: a queue commit is durable when it returns.  The
+helpers below accept a queue directory or an open :class:`LeaseQueue`;
+a queue they open from a path they also close, on return or raise.
 
 Determinism invariant: because every job is seeded from its
 coordinates alone and job slicing never changes a row
@@ -37,6 +46,7 @@ and reclaims.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -139,22 +149,30 @@ class LeaseQueue:
 
     ``root`` is a directory (shared between workers — local disk for
     multi-process runs, a network filesystem for multi-host): the
-    queue database lives at ``<root>/queue.db`` and per-worker result
-    envelopes under ``<root>/results/``.  All state transitions are
-    single SQLite statements or ``BEGIN IMMEDIATE`` transactions on a
-    WAL-mode connection, so any number of workers may share the queue.
+    queue database lives at ``<root>/queue.db`` and result envelopes
+    under ``<root>/results/<grid_id>/<worker>.jsonl``.  All state
+    transitions are single SQLite statements or ``BEGIN IMMEDIATE``
+    transactions on a WAL-mode connection, so any number of workers may
+    share the queue.  Commits are fsynced before they return
+    (``synchronous=FULL``), so no close-time checkpoint is needed to
+    make them durable.
 
     ``clock`` is injectable for tests (defaults to :func:`time.time`);
-    deadlines are absolute clock values.
+    deadlines are absolute clock values.  ``_threaded`` is internal:
+    the grid service opens its one long-lived queue with it, usable
+    from every handler thread because the service serializes each use
+    under its own lock.
     """
 
     DB_NAME = "queue.db"
 
-    def __init__(self, root, clock=time.time):
+    def __init__(self, root, clock=time.time, *, _threaded=False):
         """Open (creating if needed) the queue at directory ``root``."""
         self.root = pathlib.Path(root)
         self._clock = clock
-        self._conn = connect_wal(self.root / self.DB_NAME)
+        self._conn = connect_wal(self.root / self.DB_NAME,
+                                 check_same_thread=not _threaded)
+        self._conn.execute("PRAGMA synchronous=FULL")
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS grids ("
             " grid_id TEXT PRIMARY KEY,"
@@ -189,12 +207,27 @@ class LeaseQueue:
 
     @property
     def results_dir(self) -> pathlib.Path:
-        """Directory the per-worker result envelope files live in."""
+        """Directory holding one envelope directory per grid."""
         return self.root / "results"
 
-    def worker_path(self, worker: str) -> pathlib.Path:
-        """The JSONL envelope file a worker appends its rows to."""
-        return self.results_dir / f"{_safe_name(worker)}.jsonl"
+    def worker_path(self, grid_id: str, worker: str) -> pathlib.Path:
+        """The JSONL envelope file a worker appends a grid's rows to;
+        ``grid_id`` is the grid's content digest
+        (:meth:`GridSpec.cache_key`), never text from a request."""
+        return self.results_dir / grid_id / f"{_safe_name(worker)}.jsonl"
+
+    def envelope_paths(self, grid_id: str) -> list[pathlib.Path]:
+        """Every file that may hold the grid's envelopes: its own
+        directory, then the shared top-level files of a queue written
+        before envelopes were stored per grid.  ``grid_id`` becomes a
+        path component only once the queue knows it: an unknown id has
+        no envelope files, and no file is touched."""
+        try:
+            self._grid_row(grid_id)
+        except KeyError:
+            return []
+        return (sorted((self.results_dir / grid_id).glob("*.jsonl"))
+                + sorted(self.results_dir.glob("*.jsonl")))
 
     # -- producing work ------------------------------------------------
 
@@ -478,16 +511,17 @@ class _LeaseSink(JsonlSink):
     """Per-worker results sink: envelope rows, heartbeat per flush.
 
     Each row is wrapped as ``{"seq": global_job_index, "grid": id,
-    "row": row}`` and appended to the worker's JSONL file (several
-    leases share one file).  Every batch flush first renews the
-    worker's lease — so a worker that lost its lease stops writing at
-    the next flush — and fsyncs afterwards, so ``complete`` is only
-    reported for durably written rows.
+    "row": row}`` and appended to the worker's JSONL file for the
+    lease's grid (the worker's leases of one grid share it).  Every
+    batch flush first renews the worker's lease — so a worker that lost
+    its lease stops writing at the next flush — and fsyncs afterwards,
+    so ``complete`` is only reported for durably written rows.
     """
 
     def __init__(self, queue: LeaseQueue, lease: Lease, ttl: float):
         """Append to the lease's worker file under the queue root."""
-        super().__init__(queue.worker_path(lease.worker), append=True)
+        super().__init__(queue.worker_path(lease.grid_id, lease.worker),
+                         append=True)
         self.queue = queue
         self.lease = lease
         self.ttl = ttl
@@ -505,6 +539,22 @@ class _LeaseSink(JsonlSink):
         if self._fh is not None:
             self._fh.flush()
             os.fsync(self._fh.fileno())
+
+
+@contextlib.contextmanager
+def _opened(root):
+    """``root`` as a :class:`LeaseQueue`: a caller's open queue as is
+    (it stays open), or one opened from a directory here and closed on
+    the way out — also when the body raises, so a held traceback never
+    keeps a connection alive."""
+    if isinstance(root, LeaseQueue):
+        yield root
+        return
+    queue = LeaseQueue(root)
+    try:
+        yield queue
+    finally:
+        queue.close()
 
 
 def work(root, *, worker: str | None = None,
@@ -538,30 +588,30 @@ def work(root, *, worker: str | None = None,
     opened.
     """
     config, run_stats = run_args(config, stats)
-    queue = root if isinstance(root, LeaseQueue) else LeaseQueue(root)
     worker = default_worker_id() if worker is None else worker
     claimed = 0
-    while max_leases is None or claimed < max_leases:
-        run_stats.leases_reclaimed += queue.reclaim_expired(grid_id)
-        lease = queue.claim(worker, ttl=ttl, grid_id=grid_id)
-        if lease is None:
-            if queue.finished(grid_id):
-                break
-            time.sleep(poll)
-            continue
-        claimed += 1
-        run_stats.leases_claimed += 1
-        spec = queue.spec(lease.grid_id)
-        sink = _LeaseSink(queue, lease, ttl)
-        try:
-            run_grid(spec,
-                     dataclasses.replace(config, sink=sink),
-                     stats=run_stats,
-                     job_slice=(lease.start, lease.stop))
-            queue.complete(lease)
-            run_stats.leases_completed += 1
-        except LeaseLost:
-            run_stats.leases_lost += 1
+    with _opened(root) as queue:
+        while max_leases is None or claimed < max_leases:
+            run_stats.leases_reclaimed += queue.reclaim_expired(grid_id)
+            lease = queue.claim(worker, ttl=ttl, grid_id=grid_id)
+            if lease is None:
+                if queue.finished(grid_id):
+                    break
+                time.sleep(poll)
+                continue
+            claimed += 1
+            run_stats.leases_claimed += 1
+            spec = queue.spec(lease.grid_id)
+            sink = _LeaseSink(queue, lease, ttl)
+            try:
+                run_grid(spec,
+                         dataclasses.replace(config, sink=sink),
+                         stats=run_stats,
+                         job_slice=(lease.start, lease.stop))
+                queue.complete(lease)
+                run_stats.leases_completed += 1
+            except LeaseLost:
+                run_stats.leases_lost += 1
     return run_stats
 
 
@@ -609,15 +659,17 @@ def _is_failed(row) -> bool:
 def _collect_rows(queue: LeaseQueue, grid_id: str) -> dict[int, dict]:
     """First-wins merge of every worker's envelopes for one grid.
 
-    Duplicates (re-run ranges) must agree — determinism means an
-    ok/ok mismatch is a real bug — with one deliberate asymmetry: a
-    successful row always replaces a quarantined one for the same job
-    (a retried worker healed it; the stale failure envelope stays in
-    the old worker log), and two quarantine rows never conflict (their
-    attempt counts and messages legitimately differ across workers).
+    Reads only :meth:`LeaseQueue.envelope_paths` — the grid's own
+    directory and any pre-per-grid top-level files.  Duplicates (re-run
+    ranges) must agree — determinism means an ok/ok mismatch is a real
+    bug — with one deliberate asymmetry: a successful row always
+    replaces a quarantined one for the same job (a retried worker
+    healed it; the stale failure envelope stays in the old worker log),
+    and two quarantine rows never conflict (their attempt counts and
+    messages legitimately differ across workers).
     """
     rows: dict[int, dict] = {}
-    for path in sorted(queue.results_dir.glob("*.jsonl")):
+    for path in queue.envelope_paths(grid_id):
         for env in _iter_envelopes(path):
             if env.get("grid") != grid_id:
                 continue
@@ -639,6 +691,21 @@ def _collect_rows(queue: LeaseQueue, grid_id: str) -> dict[int, dict]:
     return rows
 
 
+def _in_job_order(grid_id: str, total: int,
+                  rows: dict[int, dict]) -> list[dict]:
+    """The merged ``rows`` in grid job order, once they cover the grid
+    *exactly* (every job present, nothing out of range)."""
+    missing = [seq for seq in range(total) if seq not in rows]
+    stray = sorted(seq for seq in rows if not 0 <= seq < total)
+    if missing or stray:
+        raise ValueError(
+            f"grid {grid_id} results incomplete: {len(missing)} of "
+            f"{total} jobs missing"
+            + (f" (first missing: {missing[:5]})" if missing else "")
+            + (f", {len(stray)} out of range" if stray else ""))
+    return [rows[seq] for seq in range(total)]
+
+
 def _resolve_grid(queue: LeaseQueue, grid_id: str | None) -> str:
     """Default ``grid_id`` to the queue's only grid, or fail clearly."""
     if grid_id is not None:
@@ -653,10 +720,12 @@ def _resolve_grid(queue: LeaseQueue, grid_id: str | None) -> str:
 def merge_results(root, grid_id: str | None = None, sink=None):
     """Merge every worker's envelopes into one in-order result set.
 
-    Reads all ``<root>/results/*.jsonl`` files, keeps the first
-    envelope per sequence number (re-run ranges produce duplicates;
-    they are checked to be identical — determinism means any mismatch
-    is a real bug, not a race), verifies the grid is covered *exactly*
+    Reads the grid's envelope files (``<root>/results/<grid_id>/``,
+    plus top-level ``<root>/results/*.jsonl`` from a queue written
+    before the per-grid layout), keeps the first envelope per sequence
+    number (re-run ranges produce duplicates; they are checked to be
+    identical — determinism means any mismatch is a real bug, not a
+    race), verifies the grid is covered *exactly*
     (every job present, nothing out of range), and writes the rows in
     grid job order to ``sink`` (default: collect and return the
     ``list[dict]``).  The result is bit-identical to a single-process
@@ -664,28 +733,21 @@ def merge_results(root, grid_id: str | None = None, sink=None):
 
     ``grid_id`` may be omitted when the queue holds exactly one grid.
     """
-    queue = root if isinstance(root, LeaseQueue) else LeaseQueue(root)
-    grid_id = _resolve_grid(queue, grid_id)
-    if not queue.finished(grid_id):
-        counts = queue.counts(grid_id)
-        raise ValueError(
-            f"grid {grid_id} is not drained yet ({counts['pending']} "
-            f"pending, {counts['leased']} leased leases) — run more "
-            f"workers (repro work run) before merging")
-    total = queue.total(grid_id)
-    rows = _collect_rows(queue, grid_id)
-    missing = [seq for seq in range(total) if seq not in rows]
-    stray = sorted(seq for seq in rows if not 0 <= seq < total)
-    if missing or stray:
-        raise ValueError(
-            f"grid {grid_id} results incomplete: {len(missing)} of "
-            f"{total} jobs missing"
-            + (f" (first missing: {missing[:5]})" if missing else "")
-            + (f", {len(stray)} out of range" if stray else ""))
+    with _opened(root) as queue:
+        grid_id = _resolve_grid(queue, grid_id)
+        if not queue.finished(grid_id):
+            counts = queue.counts(grid_id)
+            raise ValueError(
+                f"grid {grid_id} is not drained yet ({counts['pending']} "
+                f"pending, {counts['leased']} leased leases) — run more "
+                f"workers (repro work run) before merging")
+        total = queue.total(grid_id)
+        rows = _in_job_order(grid_id, total, _collect_rows(queue, grid_id))
+        meta = queue.spec_dict(grid_id)
     sink = ListSink() if sink is None else sink
-    sink.open(queue.spec_dict(grid_id))
+    sink.open(meta)
     try:
-        sink.write_many([rows[seq] for seq in range(total)])
+        sink.write_many(rows)
     finally:
         sink.close()
     return sink.result()
@@ -697,11 +759,11 @@ def failed_jobs(root, grid_id: str | None = None) -> dict[int, dict]:
     still ``status="failed"`` (a job healed by a retried lease does not
     appear).  Works on partially drained queues — ``repro work
     status`` calls this while workers are still running."""
-    queue = root if isinstance(root, LeaseQueue) else LeaseQueue(root)
-    grid_id = _resolve_grid(queue, grid_id)
-    return {seq: row
-            for seq, row in _collect_rows(queue, grid_id).items()
-            if _is_failed(row)}
+    with _opened(root) as queue:
+        grid_id = _resolve_grid(queue, grid_id)
+        return {seq: row
+                for seq, row in _collect_rows(queue, grid_id).items()
+                if _is_failed(row)}
 
 
 def retry_failed(root, grid_id: str | None = None) -> tuple[int, int]:
@@ -715,12 +777,12 @@ def retry_failed(root, grid_id: str | None = None) -> tuple[int, int]:
     quarantined ones execute for real, and the merge's prefer-ok rule
     lets fresh successes supersede the stale failure envelopes.
     """
-    queue = root if isinstance(root, LeaseQueue) else LeaseQueue(root)
-    grid_id = _resolve_grid(queue, grid_id)
-    failed = failed_jobs(queue, grid_id)
-    if not failed:
-        return 0, 0
-    return len(failed), queue.reset_covering(grid_id, failed)
+    with _opened(root) as queue:
+        grid_id = _resolve_grid(queue, grid_id)
+        failed = failed_jobs(queue, grid_id)
+        if not failed:
+            return 0, 0
+        return len(failed), queue.reset_covering(grid_id, failed)
 
 
 def grid_status(root, grid_id: str | None = None, *,
@@ -748,14 +810,15 @@ def grid_status(root, grid_id: str | None = None, *,
     ``pending`` means live workers are (or may still start) draining.
     Merged ``rows`` (in grid job order, quarantine rows included) are
     attached only when the drain is complete and ``include_rows`` is
-    true.
+    true; they come from the same single merge the counts do, with
+    :func:`merge_results`' exact-coverage check.
     """
-    queue = root if isinstance(root, LeaseQueue) else LeaseQueue(root)
-    grid_id = _resolve_grid(queue, grid_id)
-    total = queue.total(grid_id)
-    counts = queue.counts(grid_id)
-    stale = queue.stale(grid_id)
-    merged = _collect_rows(queue, grid_id)
+    with _opened(root) as queue:
+        grid_id = _resolve_grid(queue, grid_id)
+        total = queue.total(grid_id)
+        counts = queue.counts(grid_id)
+        stale = queue.stale(grid_id)
+        merged = _collect_rows(queue, grid_id)
     quarantined = sorted(seq for seq, row in merged.items()
                          if _is_failed(row))
     drained = counts["pending"] == 0 and counts["leased"] == 0
@@ -776,5 +839,5 @@ def grid_status(root, grid_id: str | None = None, *,
         "quarantined_seqs": quarantined,
     }
     if drained and covered and include_rows:
-        status["rows"] = merge_results(queue, grid_id)
+        status["rows"] = _in_job_order(grid_id, total, merged)
     return status

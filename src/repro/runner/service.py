@@ -9,7 +9,8 @@ for the worker fleet to drain.  One request lifecycle::
     POST /grids  {GridSpec.to_dict()}
       -> probe every job against the content-addressed JobCache
       -> write the hit rows as result envelopes (a synthetic
-         "service" worker file the ordinary merge consumes)
+         "service" worker file in the grid's envelope directory,
+         which the ordinary merge consumes)
       -> enqueue leases covering only the misses
       -> 202 {"grid": <digest>, "cache_hits": h, "enqueued": m}
     GET /grids/<id>
@@ -36,10 +37,15 @@ Robustness model:
 * **Graceful degradation** — a dead worker fleet surfaces as
   ``state: "degraded"`` in the status payload (with the quarantined /
   unleased remainder) rather than a request that hangs.
-* **Concurrency** — handler threads never share a SQLite connection:
-  each request opens its own :class:`LeaseQueue` / :class:`JobCache`
-  view, and the shared ``with_busy_retry`` wrapper absorbs the
-  resulting SQLITE_BUSY contention deterministically.
+* **Concurrency** — the service owns one :class:`LeaseQueue`
+  connection for its whole lifetime (closed by :meth:`GridService.close`)
+  and every handler thread uses it under one service-owned lock.  No
+  request opens or closes ``queue.db``, so no request pays the WAL
+  checkpoint SQLite runs when a database's last connection closes;
+  queue commits are durable at COMMIT (``synchronous=FULL``).  Cache
+  probes open a per-request :class:`JobCache` view, and the shared
+  ``with_busy_retry`` wrapper absorbs SQLITE_BUSY contention with the
+  worker fleet deterministically.
 """
 
 from __future__ import annotations
@@ -193,9 +199,12 @@ class GridService:
     ephemeral port (read it back from :attr:`port`), and ``clock`` /
     ``_sleep`` are injectable for deterministic tests.
 
-    The HTTP socket is bound at construction; run the accept loop with
-    :meth:`serve_forever` (foreground, the CLI) or :meth:`start` /
-    :meth:`stop` (background thread, tests).
+    The queue connection is opened and the HTTP socket bound at
+    construction; run the accept loop with :meth:`serve_forever`
+    (foreground, the CLI) or :meth:`start` / :meth:`stop` (background
+    thread, tests).  Both release the socket and the connection on the
+    way out; a service that never serves releases them with
+    :meth:`close`.
     """
 
     def __init__(self, root, *, cache_dir=None, cache_backend=None,
@@ -205,7 +214,7 @@ class GridService:
                  request_timeout: float = 30.0,
                  drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
                  verbose: bool = False, clock=time.time):
-        """Bind the service socket and remember the wiring."""
+        """Open the queue, bind the service socket, remember the wiring."""
         self.root = pathlib.Path(root)
         self.cache_dir = cache_dir
         self.cache_backend = cache_backend
@@ -218,9 +227,15 @@ class GridService:
         self._sleep = time.sleep
         self._draining = False
         self._thread: threading.Thread | None = None
-        # create the queue schema up front so /readyz is meaningful
-        self._open_queue().close()
-        self._server = _Server((host, port), _Handler, self)
+        # the one queue connection every endpoint shares, each use
+        # serialized under _lock
+        self._lock = threading.Lock()
+        self._queue = LeaseQueue(self.root, clock=clock, _threaded=True)
+        try:
+            self._server = _Server((host, port), _Handler, self)
+        except BaseException:
+            self._queue.close()
+            raise
         self.host, self.port = self._server.server_address[:2]
 
     # -- plumbing ------------------------------------------------------
@@ -234,11 +249,6 @@ class GridService:
     def draining(self) -> bool:
         """Whether a drain shutdown is in progress (submits refused)."""
         return self._draining
-
-    def _open_queue(self) -> LeaseQueue:
-        """A fresh per-request queue view (SQLite connections must not
-        cross handler threads); callers close it."""
-        return LeaseQueue(self.root, clock=self._clock)
 
     def _open_cache(self) -> JobCache | None:
         """A fresh per-request cache view, or ``None`` (no probing)."""
@@ -302,14 +312,13 @@ class GridService:
                 hits[seq] = row
         return hits
 
-    def _write_hits(self, queue: LeaseQueue, grid_id: str,
-                    hits: dict[int, dict]) -> None:
+    def _write_hits(self, grid_id: str, hits: dict[int, dict]) -> None:
         """Append cache-hit rows as ordinary result envelopes to the
-        synthetic service worker file (fsynced, so the enqueue that
-        follows never races durable coverage)."""
+        grid's synthetic service worker file (fsynced, so the enqueue
+        that follows never races durable coverage)."""
         if not hits:
             return
-        path = queue.worker_path(SERVICE_WORKER)
+        path = self._queue.worker_path(grid_id, SERVICE_WORKER)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("a") as fh:
             for seq in sorted(hits):
@@ -327,8 +336,8 @@ class GridService:
                                "another replica")
         spec = self._parse_spec(body)
         grid_id = spec.cache_key()
-        queue = self._open_queue()
-        try:
+        with self._lock:
+            queue = self._queue
             if grid_id in queue.grids():
                 # the digest is the id: a resubmit (client retry,
                 # duplicate POST) never re-probes or re-enqueues
@@ -341,7 +350,7 @@ class GridService:
                       if seq not in hits]
             # hit rows go out before the enqueue decides on admission:
             # a refused grid leaves envelopes the merge dedupes by seq
-            self._write_hits(queue, grid_id, hits)
+            self._write_hits(grid_id, hits)
             try:
                 queue.enqueue(spec, lease_jobs=self.lease_jobs,
                               jobs=misses, budget=self.budget)
@@ -355,35 +364,27 @@ class GridService:
                          "cache_hits": len(hits),
                          "enqueued": len(misses),
                          "leases": counts}, {}
-        finally:
-            queue.close()
 
     def _status(self, grid_id: str):
         """``GET /grids/<id>``: the shared status payload."""
         if not grid_id or "/" in grid_id:
             raise ServiceError(400, "bad_request",
                                f"malformed grid id {grid_id!r}")
-        queue = self._open_queue()
         try:
-            try:
-                payload = grid_status(queue, grid_id)
-            except KeyError:
-                raise ServiceError(404, "unknown_grid",
-                                   f"grid {grid_id} was never "
-                                   "submitted here") from None
-            return 200, payload, {}
-        finally:
-            queue.close()
+            with self._lock:
+                payload = grid_status(self._queue, grid_id)
+        except KeyError:
+            raise ServiceError(404, "unknown_grid",
+                               f"grid {grid_id} was never "
+                               "submitted here") from None
+        return 200, payload, {}
 
     def _readyz(self):
         """``GET /readyz``: can this replica actually take work?"""
         problems = []
         try:
-            queue = self._open_queue()
-            try:
-                queue.counts()
-            finally:
-                queue.close()
+            with self._lock:
+                self._queue.counts()
         except Exception as exc:
             problems.append(f"queue: {type(exc).__name__}: {exc}")
         try:
@@ -414,11 +415,8 @@ class GridService:
         deadline = time.monotonic() + self.drain_timeout
         while time.monotonic() < deadline:
             try:
-                queue = self._open_queue()
-                try:
-                    leased = queue.counts()["leased"]
-                finally:
-                    queue.close()
+                with self._lock:
+                    leased = self._queue.counts()["leased"]
             except Exception:
                 break  # queue unreachable: nothing left to wait on
             if leased == 0:
@@ -428,14 +426,21 @@ class GridService:
 
     # -- lifecycle -----------------------------------------------------
 
+    def close(self) -> None:
+        """Close the listening socket — joining in-flight handler
+        threads — and then the queue connection (idempotent)."""
+        self._server.server_close()
+        with self._lock:
+            self._queue.close()
+
     def serve_forever(self) -> None:
         """Run the accept loop in this thread until a drain shutdown
-        (or :meth:`stop`) ends it; the socket is closed on the way
+        (or :meth:`stop`) ends it; the service is closed on the way
         out, so a clean drain means a clean exit."""
         try:
             self._server.serve_forever(poll_interval=0.05)
         finally:
-            self._server.server_close()
+            self.close()
 
     def start(self) -> "GridService":
         """Run :meth:`serve_forever` on a daemon thread (tests)."""
@@ -445,11 +450,13 @@ class GridService:
         return self
 
     def stop(self) -> None:
-        """Stop the accept loop and join the background thread."""
-        self._server.shutdown()
+        """Stop the accept loop (if :meth:`start` ran one), join its
+        thread, and close the service."""
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=10.0)
             self._thread = None
+        self.close()
 
     def join(self, timeout: float | None = None) -> None:
         """Wait for a backgrounded serve loop to finish (drain)."""

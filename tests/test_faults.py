@@ -337,13 +337,14 @@ class TestLeaseQueueChaos:
         self._drain(queue)
         clean = merge_results(queue)
         # a stale quarantine envelope for job 0 from a flaky worker
-        queue.results_dir.mkdir(exist_ok=True)
-        (queue.results_dir / "flaky.jsonl").write_text(json.dumps(
+        flaky = queue.worker_path(grid_id, "flaky")
+        flaky.parent.mkdir(parents=True, exist_ok=True)
+        flaky.write_text(json.dumps(
             {"seq": 0, "grid": grid_id,
              "row": {"status": "failed", "error": "Boom"}}) + "\n")
         assert merge_results(queue) == clean
         # two failed rows for one seq never conflict either
-        (queue.results_dir / "flaky2.jsonl").write_text(json.dumps(
+        queue.worker_path(grid_id, "flaky2").write_text(json.dumps(
             {"seq": 0, "grid": grid_id,
              "row": {"status": "failed", "error": "Other"}}) + "\n")
         assert merge_results(queue) == clean
@@ -363,9 +364,9 @@ class TestLeaseQueueChaos:
 class TestMergeErrorReporting:
     def test_mid_file_corruption_names_worker_and_line(self, tmp_path):
         queue = LeaseQueue(tmp_path / "q")
-        queue.enqueue(GRID, lease_jobs=4)
+        grid_id = queue.enqueue(GRID, lease_jobs=4)
         work(queue, worker="w1", poll=0.01)
-        target = next(iter(queue.results_dir.glob("*.jsonl")))
+        target = queue.worker_path(grid_id, "w1")
         lines = target.read_text().splitlines()
         lines[1] = '{"seq": 1, "gri'  # torn in the MIDDLE of the log
         target.write_text("\n".join(lines) + "\n")

@@ -4,6 +4,7 @@ job twice, crash recovery after a SIGKILL'd worker, and the merge step's
 bit-identity with a single-process run_grid."""
 
 import json
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -11,7 +12,8 @@ import threading
 import pytest
 
 from repro.runner import (EngineConfig, GridSpec, LeaseLost, LeaseQueue,
-                          merge_results, run_grid, work)
+                          failed_jobs, leasequeue, merge_results,
+                          retry_failed, run_grid, work)
 
 SMALL = GridSpec(scenarios=("diurnal", "bursty"),
                  algorithms=("lcp", "threshold"),
@@ -155,7 +157,7 @@ class TestWorkAndMerge:
         queue = LeaseQueue(tmp_path / "q")
         grid_id = queue.enqueue(SMALL, lease_jobs=len(SMALL))
         work(tmp_path / "q", worker="honest")
-        evil = queue.results_dir / "evil.jsonl"
+        evil = queue.worker_path(grid_id, "evil")
         evil.write_text(json.dumps(
             {"seq": 0, "grid": grid_id, "row": {"bogus": 1}}) + "\n")
         with pytest.raises(ValueError, match="determinism"):
@@ -165,12 +167,36 @@ class TestWorkAndMerge:
         queue = LeaseQueue(tmp_path / "q")
         grid_id = queue.enqueue(SMALL, lease_jobs=4)
         work(tmp_path / "q", worker="w1")
-        extra = queue.results_dir / "crashed.jsonl"
+        extra = queue.worker_path(grid_id, "crashed")
         extra.write_text(
             json.dumps({"seq": 0, "grid": "other-grid",
                         "row": {"x": 1}}) + "\n"
             + '{"seq": 1, "grid": "' + grid_id + '", "ro')  # torn tail
         assert merge_results(tmp_path / "q") == run_grid(SMALL)
+
+    def test_pre_per_grid_layout_merges_bit_identically(self, tmp_path):
+        """A queue written before envelopes were stored per grid keeps
+        every worker's envelopes, for all grids, in one top-level
+        ``results/<worker>.jsonl``; it still merges bit-identically."""
+        from repro.runner import grid_status
+        other = GridSpec(scenarios=("sawtooth",), algorithms=("lcp",),
+                         seeds=(0, 1, 2), sizes=(16,))
+        queue = LeaseQueue(tmp_path / "q")
+        grids = {queue.enqueue(spec, lease_jobs=3): spec
+                 for spec in (SMALL, other)}
+        work(tmp_path / "q", worker="w1", max_leases=2)
+        work(tmp_path / "q", worker="w2")
+        for grid_id in grids:
+            for path in sorted((queue.results_dir / grid_id).iterdir()):
+                with (queue.results_dir / path.name).open("a") as fh:
+                    fh.write(path.read_text())
+                path.unlink()
+            (queue.results_dir / grid_id).rmdir()
+        assert sorted(p.name for p in queue.results_dir.iterdir()) == \
+            ["w1.jsonl", "w2.jsonl"]
+        for grid_id, spec in grids.items():
+            assert merge_results(tmp_path / "q", grid_id) == run_grid(spec)
+            assert grid_status(queue, grid_id)["rows"] == run_grid(spec)
 
     def test_two_workers_drain_one_grid_without_running_a_job_twice(
             self, tmp_path):
@@ -197,6 +223,66 @@ class TestWorkAndMerge:
         assert sum(s.job_misses for s in results.values()) == len(SMALL)
         assert sum(s.job_hits for s in results.values()) == 0
         assert merge_results(tmp_path / "q") == run_grid(SMALL)
+
+
+class TestQueueLifetime:
+    def test_helpers_close_the_queue_they_opened(self, tmp_path,
+                                                 monkeypatch):
+        """Given a path, every helper closes the queue it opened — on
+        return and on raise, even while the caller still holds the
+        exception; given an open queue, it leaves it open."""
+        from repro.runner import grid_status
+        root = tmp_path / "q"
+        queue = LeaseQueue(root)
+        grid_id = queue.enqueue(SMALL, lease_jobs=4)
+        opened = []
+        connect_wal = leasequeue.connect_wal
+
+        def recording(*args, **kwargs):
+            opened.append(connect_wal(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(leasequeue, "connect_wal", recording)
+
+        def assert_closed():
+            assert opened
+            for conn in opened:
+                with pytest.raises(sqlite3.ProgrammingError):
+                    conn.execute("SELECT 1")
+            opened.clear()
+
+        with pytest.raises(ValueError, match="not drained") as held:
+            merge_results(root)
+        assert_closed()
+        with pytest.raises(KeyError) as held:
+            grid_status(root, "no-such-grid")
+        assert_closed()
+
+        def broken_run_grid(*args, **kwargs):
+            raise RuntimeError("engine down")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(leasequeue, "run_grid", broken_run_grid)
+            with pytest.raises(RuntimeError, match="engine down") as held:
+                work(root, worker="w")
+        assert_closed()
+        assert held.type is RuntimeError  # the traceback is still held
+        # hand the broken worker's lease back, then drain for real
+        queue._conn.execute("UPDATE leases SET state = 'pending',"
+                            " worker = NULL, deadline = NULL")
+        assert work(root, worker="w").leases_completed > 0
+        assert_closed()
+        for helper in (merge_results, failed_jobs, retry_failed,
+                       grid_status):
+            helper(root)
+            assert_closed()
+        # a caller's queue is used as is and stays open
+        for helper in (merge_results, failed_jobs, retry_failed,
+                       grid_status):
+            helper(queue, grid_id)
+        work(queue, worker="w")
+        assert queue._conn.execute("SELECT 1").fetchone() == (1,)
+        queue.close()
 
 
 _DOOMED_WORKER = """

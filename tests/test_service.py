@@ -16,8 +16,10 @@ from repro.runner import (EngineConfig, FaultPlan, FaultSpec, GridService,
                           GridSpec, LeaseQueue, RequestError, RetryPolicy,
                           ServiceClient, ServiceUnavailable, busy_stats,
                           run_grid, work)
-from repro.runner import faults
+from repro.runner import faults, leasequeue
+from repro.runner.client import _default_transport
 from repro.runner.executor import backoff_delay
+from repro.runner.jobcache import connect_wal
 from repro.runner.service import SERVICE_WORKER, ServiceError
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
@@ -47,9 +49,42 @@ def handle_transport(service, calls=None):
     return transport
 
 
+@pytest.fixture
+def make_service():
+    """Build services that are stopped (and so closed) after the test,
+    served or not: a service that never served would otherwise keep its
+    listening socket and queue connection until garbage collection."""
+    services = []
+
+    def make(root, **kwargs):
+        service = GridService(root, **kwargs)
+        services.append(service)
+        return service
+
+    yield make
+    for service in services:
+        service.stop()
+
+
+def hit_specs(cache, n_grids):
+    """``n_grids`` distinct two-job grids whose every job is already in
+    the job cache at ``cache``: submitting one writes only hit
+    envelopes and enqueues nothing."""
+    specs = [GridSpec(scenarios=("diurnal",),
+                      algorithms=("lcp", "threshold"),
+                      seeds=(seed,), sizes=(16,))
+             for seed in range(n_grids)]
+    run_grid(GridSpec(scenarios=("diurnal",),
+                      algorithms=("lcp", "threshold"),
+                      seeds=tuple(range(n_grids)), sizes=(16,)),
+             EngineConfig(cache_dir=cache))
+    return specs
+
+
 class TestRouting:
-    def test_submit_enqueues_misses_and_reports_receipt(self, tmp_path):
-        service = GridService(tmp_path / "q")
+    def test_submit_enqueues_misses_and_reports_receipt(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q")
         status, payload, _ = service.handle("POST", "/grids",
                                             SMALL.to_dict())
         assert status == 202
@@ -59,8 +94,9 @@ class TestRouting:
         assert payload["enqueued"] == len(SMALL)
         assert not payload["resubmitted"]
 
-    def test_resubmit_known_digest_never_reenqueues(self, tmp_path):
-        service = GridService(tmp_path / "q")
+    def test_resubmit_known_digest_never_reenqueues(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q")
         service.handle("POST", "/grids", SMALL.to_dict())
         queue = LeaseQueue(tmp_path / "q")
         before = queue.counts(SMALL.cache_key())
@@ -71,8 +107,9 @@ class TestRouting:
         assert payload["enqueued"] == 0
         assert queue.counts(SMALL.cache_key()) == before
 
-    def test_client_errors_are_envelopes_never_500(self, tmp_path):
-        service = GridService(tmp_path / "q")
+    def test_client_errors_are_envelopes_never_500(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q")
         for method, path, body, code in [
                 ("POST", "/grids", [1, 2], "bad_request"),
                 ("POST", "/grids", {"nope": 1}, "bad_spec"),
@@ -86,14 +123,15 @@ class TestRouting:
             envelope = exc_info.value.envelope()
             assert envelope["error"]["code"] == code
 
-    def test_healthz_and_readyz(self, tmp_path):
-        service = GridService(tmp_path / "q", cache_dir=tmp_path / "c")
+    def test_healthz_and_readyz(self, tmp_path, make_service):
+        service = make_service(tmp_path / "q", cache_dir=tmp_path / "c")
         assert service.handle("GET", "/healthz")[1]["ok"]
         status, payload, _ = service.handle("GET", "/readyz")
         assert status == 200 and payload["ready"]
 
-    def test_draining_refuses_submits_and_fails_readyz(self, tmp_path):
-        service = GridService(tmp_path / "q", drain_timeout=0.5)
+    def test_draining_refuses_submits_and_fails_readyz(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q", drain_timeout=0.5)
         service._draining = True  # flag only; no serve loop to stop
         status, payload, _ = service.handle("GET", "/readyz")
         assert status == 503 and not payload["ready"]
@@ -102,8 +140,9 @@ class TestRouting:
         assert exc_info.value.status == 503
         assert exc_info.value.code == "draining"
 
-    def test_over_budget_submit_gets_429_with_retry_after(self, tmp_path):
-        service = GridService(tmp_path / "q", budget=len(SMALL) - 1)
+    def test_over_budget_submit_gets_429_with_retry_after(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q", budget=len(SMALL) - 1)
         with pytest.raises(ServiceError) as exc_info:
             service.handle("POST", "/grids", SMALL.to_dict())
         assert exc_info.value.status == 429
@@ -112,10 +151,11 @@ class TestRouting:
         # the refused grid was not partially enqueued
         assert LeaseQueue(tmp_path / "q").grids() == []
 
-    def test_specs_the_engine_rejects_are_400_not_enqueued(self, tmp_path):
+    def test_specs_the_engine_rejects_are_400_not_enqueued(
+            self, tmp_path, make_service):
         """A spec every worker would refuse (``run_grid`` validates it
         up front) must not become a lease no worker can finish."""
-        service = GridService(tmp_path / "q")
+        service = make_service(tmp_path / "q")
         for bad in (dict(SMALL.to_dict(), algorithms=["no-such-alg"]),
                     dict(SMALL.to_dict(), scenarios=["no-such-scenario"]),
                     dict(SMALL.to_dict(), lookahead=-1)):
@@ -163,7 +203,7 @@ class TestAdmissionBudget:
             queue.close()
 
     def test_refused_submit_hits_merge_after_accepted_resubmit(
-            self, tmp_path):
+            self, tmp_path, make_service):
         """A refused submit has already written its cache-hit rows; the
         accepted resubmit writes them again, and the merge (deduped by
         sequence number) is still bit-identical to a local run."""
@@ -174,8 +214,8 @@ class TestAdmissionBudget:
         blocker = GridSpec(scenarios=("sawtooth",), algorithms=("lcp",),
                            seeds=(0,), sizes=(16,))
         misses = len(SMALL) - len(half)
-        service = GridService(tmp_path / "q", cache_dir=cache,
-                              budget=misses)
+        service = make_service(tmp_path / "q", cache_dir=cache,
+                               budget=misses)
         assert service.handle("POST", "/grids", blocker.to_dict())[0] == 202
         with pytest.raises(ServiceError) as exc_info:
             service.handle("POST", "/grids", SMALL.to_dict())
@@ -188,17 +228,155 @@ class TestAdmissionBudget:
         _, done, _ = service.handle("GET", f"/grids/{payload['grid']}")
         assert done["state"] == "done"
         assert done["rows"] == run_grid(SMALL)
-        hit_file = LeaseQueue(tmp_path / "q").worker_path(SERVICE_WORKER)
+        hit_file = service._queue.worker_path(payload["grid"],
+                                              SERVICE_WORKER)
         assert len(hit_file.read_text().splitlines()) == 2 * len(half)
+
+
+class TestOwnedConnection:
+    """The service's one queue connection: no request checkpoints,
+    commits are durable, and close/stop release it."""
+
+    def test_stop_returns_for_a_service_that_never_served(self, tmp_path):
+        service = GridService(tmp_path / "q")
+        stopper = threading.Thread(target=service.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2.0)
+        assert not stopper.is_alive()
+
+    def test_wal_survives_requests_until_close(
+            self, tmp_path, make_service):
+        """No request closes the last connection to ``queue.db``, so no
+        request checkpoints (and deletes) the WAL; the service's own
+        close does."""
+        root = tmp_path / "q"
+        service = make_service(root)
+        assert service.handle("POST", "/grids", SMALL.to_dict())[0] == 202
+        service.handle("GET", f"/grids/{SMALL.cache_key()}")
+        assert (root / "queue.db-wal").exists()
+        service.close()
+        assert not (root / "queue.db-wal").exists()
+
+    def test_queue_connections_commit_with_synchronous_full(
+            self, tmp_path, make_service, monkeypatch):
+        service = make_service(tmp_path / "q")
+        assert service._queue._conn.execute(
+            "PRAGMA synchronous").fetchone()[0] == 2
+        service.handle("POST", "/grids", SMALL.to_dict())
+        seen = []
+        claim = LeaseQueue.claim
+
+        def spying_claim(queue, *args, **kwargs):
+            seen.append(queue._conn.execute(
+                "PRAGMA synchronous").fetchone()[0])
+            return claim(queue, *args, **kwargs)
+
+        monkeypatch.setattr(LeaseQueue, "claim", spying_claim)
+        work(tmp_path / "q", worker="w")
+        assert seen and set(seen) == {2}
+        # the job cache and the sinks keep NORMAL
+        conn = connect_wal(tmp_path / "other.db")
+        try:
+            assert conn.execute("PRAGMA synchronous").fetchone()[0] == 1
+        finally:
+            conn.close()
+
+    def test_status_parses_only_its_own_grids_envelopes(
+            self, tmp_path, make_service, monkeypatch):
+        specs = hit_specs(tmp_path / "cache", 51)
+        service = make_service(tmp_path / "q", cache_dir=tmp_path / "cache")
+        for spec in specs:
+            _, receipt, _ = service.handle("POST", "/grids", spec.to_dict())
+            assert receipt["cache_hits"] == len(spec)
+        parsed = []
+        iter_envelopes = leasequeue._iter_envelopes
+
+        def counting(path):
+            for env in iter_envelopes(path):
+                parsed.append(env["grid"])
+                yield env
+
+        monkeypatch.setattr(leasequeue, "_iter_envelopes", counting)
+        grid_id = specs[0].cache_key()
+        _, payload, _ = service.handle("GET", f"/grids/{grid_id}")
+        assert payload["state"] == "done"
+        assert payload["rows"] == run_grid(specs[0])
+        assert parsed == [grid_id] * len(specs[0])
+
+    def test_unknown_grid_ids_touch_no_file(self, tmp_path, make_service,
+                                            monkeypatch):
+        """A polled id becomes a path component only once ``queue.db``
+        knows it: ``..`` and friends stay a 404 that opens nothing."""
+        service = make_service(tmp_path / "q")
+        service.handle("POST", "/grids", SMALL.to_dict())
+        opened = []
+        monkeypatch.setattr(leasequeue, "_iter_envelopes", opened.append)
+        for grid_id in ("..", ".", "no-such-grid"):
+            with pytest.raises(ServiceError) as exc_info:
+                service.handle("GET", f"/grids/{grid_id}")
+            assert exc_info.value.status == 404
+            assert service._queue.envelope_paths(grid_id) == []
+        assert opened == []
+
+    def test_threaded_clients_share_the_connection_safely(
+            self, tmp_path, make_service):
+        """More client threads than cores submit and poll distinct
+        all-hit grids at once under a tiny switch interval: no request
+        fails server-side, the queue holds exactly the submitted grids,
+        and every served grid's rows are the local run's."""
+        n_threads, per_thread = 8, 3
+        specs = hit_specs(tmp_path / "cache", n_threads * per_thread)
+        expected = {spec.cache_key(): run_grid(spec) for spec in specs}
+        service = make_service(tmp_path / "q",
+                               cache_dir=tmp_path / "cache").start()
+        statuses, served, errors = [], {}, []
+
+        def recording(method, url, body, timeout):
+            status, raw = _default_transport(method, url, body, timeout)
+            statuses.append(status)
+            return status, raw
+
+        def client_loop(mine):
+            client = ServiceClient(service.url, transport=recording)
+            try:
+                for spec in mine:
+                    grid_id = client.submit(spec)["grid"]
+                    served[grid_id] = client.wait(grid_id, timeout=30.0,
+                                                  poll=0.01)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client_loop,
+                                    args=(specs[i::n_threads],))
+                   for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert statuses and max(statuses) < 500
+        queue = LeaseQueue(tmp_path / "q")
+        try:
+            assert sorted(queue.grids()) == sorted(expected)
+        finally:
+            queue.close()
+        assert {grid_id: payload["rows"]
+                for grid_id, payload in served.items()} == expected
 
 
 class TestCacheProbingSubmit:
     def test_warm_cache_submit_is_instantly_done_and_identical(
-            self, tmp_path):
+            self, tmp_path, make_service):
         local = run_grid(SMALL,
                          EngineConfig(cache_dir=tmp_path / "cache"))
-        service = GridService(tmp_path / "q",
-                              cache_dir=tmp_path / "cache")
+        service = make_service(tmp_path / "q",
+                               cache_dir=tmp_path / "cache")
         status, payload, _ = service.handle("POST", "/grids",
                                             SMALL.to_dict())
         assert status == 202
@@ -209,12 +387,12 @@ class TestCacheProbingSubmit:
         assert done["state"] == "done"
         assert done["rows"] == local
 
-    def test_partial_cache_enqueues_only_misses(self, tmp_path):
+    def test_partial_cache_enqueues_only_misses(self, tmp_path, make_service):
         half = GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
                         seeds=(0, 1), sizes=(16,))
         run_grid(half, EngineConfig(cache_dir=tmp_path / "cache"))
-        service = GridService(tmp_path / "q",
-                              cache_dir=tmp_path / "cache")
+        service = make_service(tmp_path / "q",
+                               cache_dir=tmp_path / "cache")
         _, payload, _ = service.handle("POST", "/grids", SMALL.to_dict())
         assert payload["cache_hits"] == len(half)
         assert payload["enqueued"] == len(SMALL) - len(half)
@@ -226,12 +404,13 @@ class TestCacheProbingSubmit:
         assert done["state"] == "done"
         assert done["rows"] == run_grid(SMALL)
         # the hits came through the synthetic service worker file
-        queue = LeaseQueue(tmp_path / "q")
-        assert queue.worker_path(SERVICE_WORKER).exists()
+        assert service._queue.worker_path(payload["grid"],
+                                          SERVICE_WORKER).exists()
 
-    def test_degraded_state_when_worker_fleet_dies(self, tmp_path):
+    def test_degraded_state_when_worker_fleet_dies(
+            self, tmp_path, make_service):
         clock = FakeClock()
-        service = GridService(tmp_path / "q", clock=clock)
+        service = make_service(tmp_path / "q", clock=clock)
         _, payload, _ = service.handle("POST", "/grids", SMALL.to_dict())
         queue = LeaseQueue(tmp_path / "q", clock=clock)
         assert queue.claim("doomed", ttl=10.0) is not None
@@ -244,8 +423,9 @@ class TestCacheProbingSubmit:
 
 
 class TestDrainShutdown:
-    def test_shutdown_waits_for_inflight_lease_then_exits(self, tmp_path):
-        service = GridService(tmp_path / "q", drain_timeout=30.0).start()
+    def test_shutdown_waits_for_inflight_lease_then_exits(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q", drain_timeout=30.0).start()
         service.handle("POST", "/grids", SMALL.to_dict())
         queue = LeaseQueue(tmp_path / "q")
         lease = queue.claim("w")
@@ -259,28 +439,30 @@ class TestDrainShutdown:
         assert not service._thread.is_alive()
         assert queue.counts()["leased"] == 0  # no orphaned leases
 
-    def test_shutdown_is_idempotent(self, tmp_path):
-        service = GridService(tmp_path / "q").start()
+    def test_shutdown_is_idempotent(self, tmp_path, make_service):
+        service = make_service(tmp_path / "q").start()
         for _ in range(2):
             status, payload, _ = service.handle("POST", "/shutdown")
             assert status == 200 and payload["draining"]
         service.join(timeout=10.0)
         assert not service._thread.is_alive()
 
-    def test_shutdown_reply_arrives_on_every_cycle(self, tmp_path):
+    def test_shutdown_reply_arrives_on_every_cycle(
+            self, tmp_path, make_service):
         for cycle in range(5):
-            service = GridService(tmp_path / f"q{cycle}").start()
+            service = make_service(tmp_path / f"q{cycle}").start()
             client = ServiceClient(service.url,
                                    policy=RetryPolicy(max_retries=0))
             assert client.shutdown() == {"draining": True}
             service.join(timeout=10.0)
             assert not service._thread.is_alive()
 
-    def test_serve_loop_waits_for_inflight_shutdown_reply(self, tmp_path):
+    def test_serve_loop_waits_for_inflight_shutdown_reply(
+            self, tmp_path, make_service):
         """The drain stops the accept loop while the ``POST /shutdown``
         handler may still be writing its reply; the serve loop (and,
         under ``repro serve``, the process) must outlive that handler."""
-        service = GridService(tmp_path / "q")
+        service = make_service(tmp_path / "q")
         handled, release = threading.Event(), threading.Event()
         route = service.handle
 
@@ -389,8 +571,9 @@ class TestServiceClientRetry:
         assert exc_info.value.status == 400
         assert len(calls) == 1  # no retry on a client error
 
-    def test_injected_http_faults_bounded_and_counted(self, tmp_path):
-        service = GridService(tmp_path / "q")
+    def test_injected_http_faults_bounded_and_counted(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q")
         sleeps = []
         client = ServiceClient("http://svc", policy=self.POLICY,
                                transport=handle_transport(service),
@@ -409,8 +592,9 @@ class TestServiceClientRetry:
         with pytest.raises(ServiceUnavailable):
             client.healthz()
 
-    def test_retried_submit_never_double_enqueues(self, tmp_path):
-        service = GridService(tmp_path / "q")
+    def test_retried_submit_never_double_enqueues(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q")
         calls = []
         sleeps = []
         client = ServiceClient("http://svc", policy=self.POLICY,
@@ -431,9 +615,10 @@ class TestServiceClientRetry:
         assert sum(queue.counts(receipt["grid"]).values()) == \
             leases_after_first
 
-    def test_wait_returns_on_degraded_instead_of_hanging(self, tmp_path):
+    def test_wait_returns_on_degraded_instead_of_hanging(
+            self, tmp_path, make_service):
         clock = FakeClock()
-        service = GridService(tmp_path / "q", clock=clock)
+        service = make_service(tmp_path / "q", clock=clock)
         client = ServiceClient("http://svc",
                                transport=handle_transport(service),
                                sleep=lambda s: None, clock=clock)
@@ -468,15 +653,16 @@ run_grid(queue.spec(lease.grid_id),
 
 
 class TestEndToEndChaos:
-    def test_served_grid_survives_chaos_bit_identical(self, tmp_path):
+    def test_served_grid_survives_chaos_bit_identical(
+            self, tmp_path, make_service):
         """The acceptance chaos run, over real HTTP: a SIGKILL'd
         worker, a transient http_request fault and transient lock
         faults on the queue and cache must not change a single byte of
         the merged rows, and the drain must exit with no orphans."""
         reference = run_grid(SMALL)  # fault-free local baseline
         cache = tmp_path / "cache"
-        service = GridService(tmp_path / "q", cache_dir=cache,
-                              lease_jobs=2, drain_timeout=30.0).start()
+        service = make_service(tmp_path / "q", cache_dir=cache,
+                               lease_jobs=2, drain_timeout=30.0).start()
         client = ServiceClient(
             service.url, policy=RetryPolicy(backoff=0.01))
         faults.activate(FaultPlan(specs=(
@@ -504,8 +690,12 @@ class TestEndToEndChaos:
                                                 config=EngineConfig(
                                                     cache_dir=cache)))
         survivor.start()
-        done = client.wait(grid_id, timeout=60.0)
-        survivor.join(timeout=30.0)
+        # work() returns once every lease is done; a poll made while it
+        # drains can land between the dead lease's deadline and the
+        # survivor's reclaim, when the grid is (correctly) degraded
+        survivor.join(timeout=60.0)
+        assert not survivor.is_alive()
+        done = client.wait(grid_id, timeout=10.0)
         assert done["state"] == "done"
         assert done["rows"] == reference
         assert busy_stats()["sqlite_busy_retries"] > busy_before
@@ -514,7 +704,7 @@ class TestEndToEndChaos:
         # a hit, nothing is re-enqueued, rows stay identical
         faults.deactivate()
         faults.reset()
-        service2 = GridService(tmp_path / "q2", cache_dir=cache).start()
+        service2 = make_service(tmp_path / "q2", cache_dir=cache).start()
         client2 = ServiceClient(service2.url)
         receipt2 = client2.submit(SMALL)
         assert receipt2["cache_hits"] == len(SMALL)
