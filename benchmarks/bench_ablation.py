@@ -98,7 +98,7 @@ def test_e12_laziness_ablation(benchmark):
     aggregate (that is the 'lazy' in Lazy Capacity Provisioning).
 
     Engine-backed: one ``run_grid`` over the five trace families — the
-    shared offline optimum per family is solved once in phase 1."""
+    shared offline optimum per family is solved once."""
     grid_rows = run_grid(GridSpec(scenarios=TRACE_FAMILIES,
                                   algorithms=("lcp", "eager-lcp"),
                                   seeds=(0,), sizes=(168,)))

@@ -10,7 +10,7 @@ algorithms capture part but not all of the offline savings.
 The (trace x beta) sweep runs as an engine grid: `case-msr` /
 `case-hotmail` scenarios with the switching cost on the grid's
 ``params`` axis, `static`/`lcp`/`randomized` fanned out per instance
-and the offline optimum hoisted once by phase 1.
+and the offline optimum hoisted once per instance.
 """
 
 import numpy as np

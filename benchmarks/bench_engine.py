@@ -4,41 +4,37 @@ Measures grid throughput (jobs/sec) of ``run_grid`` on a multi-algorithm
 grid at several horizons, under five execution variants:
 
 * ``rebuild``    — the pre-store behavior: the per-process memo is
-  disabled, so every phase-1/phase-2 job re-tabulates its instance's
-  cost matrix (what PR 2 shipped);
-* ``mmap_store`` — phase 0 has materialized the instance store; jobs
-  reopen the payload read-only via mmap (memo cleared between runs, so
-  the measurement is load-from-store, not load-from-memory), with
-  fusion disabled (``chunk_jobs=1``) — the PR 3 steady state;
+  disabled, so the optimum solve and every job re-tabulate their
+  instance's cost matrix (what PR 2 shipped);
+* ``mmap_store`` — the instance store is materialized; the solve and
+  the jobs reopen the payload read-only via mmap (memo cleared between
+  runs, so the measurement is load-from-store, not load-from-memory),
+  one instance per worker task (``chunk_jobs=1``, which the engine
+  rounds up to whole instances);
 * ``pipelined``  — the store plus double-buffered batches
-  (``pipeline_depth=2``): batch N+1's phase 0/1 is submitted while
-  batch N's phase 2 runs (with ``n_jobs=1`` this isolates the pipeline
-  machinery's overhead — it must not lose to ``mmap_store``);
-* ``fused``      — ``pipelined`` plus fused chunk dispatch: several
-  jobs per worker round-trip, and LCP-family jobs on one instance
-  replayed from a single shared work-function sweep;
+  (``pipeline_depth=2``): batch N+1's tasks are submitted while batch
+  N's run (with ``n_jobs=1`` this isolates the pipeline machinery's
+  overhead — it must not lose to ``mmap_store``);
+* ``fused``      — ``pipelined`` plus auto-sized tasks
+  (``chunk_jobs=None``): several instances per worker round-trip;
 * ``warm_cache`` — every row is served from the per-job result cache
   (the incremental-grid steady state);
 * ``kernel``     — ``fused`` with the vectorized work-function kernels
   (``REPRO_KERNEL=vector``): whole-table sweeps, whole-trajectory
   replay fast paths, and one memoized sweep per instance shared by the
-  phase-1 optimum, the LCP family and the backward solver;
-* ``kernel_unfused`` — the vectorized kernels under per-job dispatch
-  (``chunk_jobs=1``), isolating the kernels' contribution from chunk
-  fusion (the per-process sweep memo still deduplicates sweeps);
-* ``kernel_multi`` / ``batched`` — a *multi-instance* grid (six
-  instance seeds, same algorithms) under the vector and batched
-  kernels respectively, the whole grid in one batch: ``batched``
-  stacks co-scheduled same-shape instances into single
-  ``(B, T, m+1)`` sweep launches (``REPRO_KERNEL=batched``), so its
-  gain over ``kernel_multi`` is pure launch amortization on an
-  identical job set.
+  optimum, the LCP family and the backward solver;
+* ``kernel_unfused`` — the vectorized kernels with one instance per
+  task (``chunk_jobs=1``), isolating the kernels' contribution from
+  task fusion;
+* ``kernel_multi`` — a *multi-instance* grid (six instance seeds, same
+  algorithms) under the vector kernel, the whole grid in one batch.
 
 The legacy variants are pinned to ``REPRO_KERNEL=scalar`` so they keep
 measuring the historical per-step code paths (and stay comparable
 across runs); the ``kernel*`` variants measure the vectorized paths.
-Every variant must produce bit-identical rows (the multi-instance
-variants against each other — their job set is larger).
+Every variant must produce bit-identical rows (``kernel_multi`` is
+checked against the others only through its per-algorithm ratios — its
+job set is larger).
 
 The report also carries a ``restricted_solver`` section timing
 ``solve_restricted`` under the scalar vs vectorized kernel on one
@@ -69,13 +65,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
 
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
 #: lcp and eager-lcp lead so they share a batch (and therefore one
-#: work-function sweep) under the ``fused`` variant's chunking
+#: work-function sweep) in the variants that split the grid into
+#: batches
 DEFAULT_ALGORITHMS = ("lcp", "eager-lcp", "threshold", "memoryless",
                       "followmin", "never-off")
 VARIANTS = ("rebuild", "mmap_store", "pipelined", "fused", "warm_cache",
             "kernel", "kernel_unfused")
 #: multi-instance variants, measured on the six-seed grid
-MULTI_VARIANTS = ("kernel_multi", "batched")
+MULTI_VARIANTS = ("kernel_multi",)
 MULTI_SEEDS = tuple(range(6))
 
 
@@ -87,34 +84,31 @@ def _run_variant(spec, variant: str, workdir: pathlib.Path,
     from repro.runner import instancestore
     store_dir = workdir / "store"
     cache_dir = workdir / "cache"
-    # chunk_jobs=1 pins the historical per-job dispatch so the legacy
-    # variants keep measuring what they always measured
+    # chunk_jobs=1 gives one instance per task (the engine rounds it up
+    # to whole instances) for every variant that does not auto-size
     kwargs: dict = {"chunk_jobs": 1}
     previous = None
-    batched = max(1, len(spec) // 3)
+    batch = max(1, len(spec) // 3)
     if variant == "rebuild":
         previous = instancestore.set_memo_size(0)
     elif variant == "mmap_store":
         kwargs["store_dir"] = store_dir
     elif variant == "pipelined":
-        kwargs.update(store_dir=store_dir, batch_size=batched,
+        kwargs.update(store_dir=store_dir, batch_size=batch,
                       pipeline_depth=2)
     elif variant in ("fused", "kernel"):
-        kwargs.update(store_dir=store_dir, batch_size=batched,
+        kwargs.update(store_dir=store_dir, batch_size=batch,
                       pipeline_depth=2, chunk_jobs=None)
     elif variant == "kernel_unfused":
-        kwargs.update(store_dir=store_dir, batch_size=batched,
+        kwargs.update(store_dir=store_dir, batch_size=batch,
                       pipeline_depth=2)
     elif variant in MULTI_VARIANTS:
-        # whole grid in one batch: the fused phase-1 chunk sees every
-        # co-scheduled instance, so the batched kernel can stack all
-        # same-shape sweeps into single launches
+        # the whole grid in one batch, one auto-sized task set
         kwargs.update(store_dir=store_dir, batch_size=len(spec),
                       pipeline_depth=2, chunk_jobs=None)
     else:
         kwargs["cache_dir"] = cache_dir
-    kernel = ("batched" if variant == "batched"
-              else "vector" if variant.startswith("kernel") else "scalar")
+    kernel = "vector" if variant.startswith("kernel") else "scalar"
     best = None
     try:
         with kernels.use(kernel):
@@ -160,8 +154,9 @@ def bench_engine(sizes=DEFAULT_SIZES, algorithms=DEFAULT_ALGORITHMS,
         multi = GridSpec(scenarios=(scenario,),
                          algorithms=tuple(algorithms),
                          seeds=MULTI_SEEDS, sizes=(int(T),))
-        # warm the store and the result cache first (phase 0 / first run
-        # are what 'cold' pays; the variants measure the steady state)
+        # warm the store and the result cache first (materialization and
+        # the first run are what 'cold' pays; the variants measure the
+        # steady state)
         for s in (spec, multi):
             run_grid(s, EngineConfig(n_jobs=n_jobs,
                                      store_dir=workdir / "store",
@@ -201,25 +196,12 @@ def bench_engine(sizes=DEFAULT_SIZES, algorithms=DEFAULT_ALGORITHMS,
     speedup_kernel = {str(T): round(by[(T, "kernel")]["jobs_per_sec"]
                                     / by[(T, "fused")]["jobs_per_sec"], 3)
                       for T in sizes}
-    # batched vs kernel: the headline launch-amortization gain over the
-    # single-instance kernel variant (the committed baseline); batched
-    # vs kernel_multi isolates it on an identical job set
-    speedup_batched = {
-        str(T): round(by[(T, "batched")]["jobs_per_sec"]
-                      / by[(T, "kernel")]["jobs_per_sec"], 3)
-        for T in sizes}
-    speedup_batched_multi = {
-        str(T): round(by[(T, "batched")]["jobs_per_sec"]
-                      / by[(T, "kernel_multi")]["jobs_per_sec"], 3)
-        for T in sizes}
     return {"bench": "engine_throughput", "version": 4,
             "scenario": scenario, "algorithms": list(algorithms),
             "n_jobs": n_jobs, "results": results,
             "speedup_store_vs_rebuild": speedup,
             "speedup_fused_vs_store": speedup_fused,
             "speedup_kernel_vs_fused": speedup_kernel,
-            "speedup_batched_vs_kernel": speedup_batched,
-            "speedup_batched_vs_kernel_multi": speedup_batched_multi,
             "restricted_solver": bench_restricted(sizes)}
 
 
@@ -279,8 +261,6 @@ def main(argv=None) -> int:
           report["speedup_store_vs_rebuild"])
     print("speedup kernel vs fused:",
           report["speedup_kernel_vs_fused"])
-    print("speedup batched vs kernel:",
-          report["speedup_batched_vs_kernel"])
     print("restricted solver:", report["restricted_solver"])
     print(f"wrote {args.out}")
     return 0

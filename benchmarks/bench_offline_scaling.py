@@ -113,7 +113,7 @@ def test_e3_graph_quadratic_reference(benchmark):
 
 def test_e3_exact_solvers_on_hoisted_optimum(benchmark):
     """Every exact solver reproduces the per-instance optimum the
-    two-phase engine hoists in phase 1 (ratio exactly 1)."""
+    engine hoists (ratio exactly 1)."""
     spec = GridSpec(scenarios=("random-convex",),
                     algorithms=("binary_search", "dp", "graph"),
                     seeds=(0, 1), sizes=(64,))

@@ -42,7 +42,7 @@ def test_e10_window_helps_on_traces(benchmark):
     decreasing for every controller (LCP(w), RHC, AFHC).
 
     Engine-backed: one ``run_grid`` per window length; the three seeds'
-    offline optima are hoisted once in phase 1 and shared by all three
+    offline optima are hoisted once per instance and shared by all three
     controllers."""
     from repro.runner import GridSpec, build_instance, run_grid
     rows = []

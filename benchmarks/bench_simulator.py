@@ -12,10 +12,10 @@ energy and latency:
   the optimizer switch less.
 
 The rollouts run as `game`-pipeline engine jobs: the `sim-diurnal`
-scenario materializes the trace and the bridged cost matrix once
-(phase 0), the simulated cost of the optimal schedule is hoisted as the
-pipeline baseline (phase 1), and `sim-opt`/`sim-lcp`/`sim-static`
-policies fan out and replay through the simulator (phase 2).
+scenario materializes the trace and the bridged cost matrix once, the
+simulated cost of the optimal schedule is hoisted as the pipeline
+baseline, and `sim-opt`/`sim-lcp`/`sim-static` policies fan out and
+replay through the simulator.
 """
 
 import numpy as np

@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_engine_args(sp, sink: bool = True):
         sp.add_argument("--n-jobs", type=int, default=1,
                         help="worker processes (1 = in-process); the "
-                             "pool persists across phases and grids")
+                             "pool persists across batches and grids")
         sp.add_argument("--cache-dir", metavar="DIR",
                         help="per-job content-addressed result cache "
                              "under DIR (overlapping grids share work)")
@@ -174,29 +174,30 @@ def build_parser() -> argparse.ArgumentParser:
                              "existing cache.db, else JSON dir)")
         sp.add_argument("--store-dir", metavar="DIR",
                         help="materialize each distinct instance once "
-                             "into a shared mmap store under DIR "
-                             "(phase 0); workers map it read-only "
-                             "instead of rebuilding")
+                             "into a shared mmap store under DIR; "
+                             "solves, jobs and later grids map it "
+                             "read-only instead of rebuilding")
         sp.add_argument("--force", action="store_true",
                         help="recompute even on a cache hit")
         sp.add_argument("--batch-size", type=int, default=None,
                         metavar="N",
-                        help="stream phase-2 jobs in batches of N so "
-                             "the parent holds O(N x depth) pending "
-                             "rows (default: one batch)")
+                        help="stream jobs in batches of N so the "
+                             "parent holds O(N x depth) pending rows "
+                             "(default: one batch)")
         sp.add_argument("--pipeline-depth", type=int, default=2,
                         metavar="D",
                         help="batches kept in flight at once: with "
-                             "n_jobs > 1, batch N+1's instances "
-                             "materialize and solve while batch N's "
-                             "algorithm jobs still run (1 = barrier "
-                             "per batch)")
+                             "n_jobs > 1, batch N+1's tasks run while "
+                             "batch N's still do (1 = barrier per "
+                             "batch)")
         sp.add_argument("--chunk-jobs", type=int, default=None,
                         metavar="K",
-                        help="fuse K jobs per worker round-trip "
-                             "(amortizes IPC; LCP-family jobs on one "
-                             "instance share a work-function sweep); "
-                             "default auto-sizes, 1 disables fusion")
+                        help="fuse K jobs, rounded up to whole "
+                             "instances, per worker task (amortizes "
+                             "IPC; LCP-family jobs on one instance "
+                             "share a work-function sweep); default "
+                             "auto-sizes, 1 gives one instance per "
+                             "task")
         sp.add_argument("--max-retries", type=int, default=2,
                         metavar="R",
                         help="per-job retries (exponential backoff) "
@@ -539,7 +540,7 @@ def _print_sink_results(result, args, stats, n_jobs: int,
 
 def _print_store_stats(stats) -> None:
     print(f"store: {stats.inst_materialized} instances materialized, "
-          f"{stats.inst_builds} built in-process, "
+          f"{stats.inst_builds} built, "
           f"{stats.inst_loads} mmap loads, "
           f"{stats.inst_memo_hits} memo hits")
 

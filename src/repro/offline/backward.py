@@ -13,7 +13,7 @@ LCP's laziness from the other end of time.
 The solver runs one forward pass collecting ``(x^L_t, x^U_t)`` for every
 prefix (``O(T m)``, through the :mod:`repro.kernels` sweep dispatch) and
 one backward clamping pass (``O(T)``).  On engine grids the forward
-sweep is the same one phase 1 (offline optimum) and the phase-2 shared
+sweep is the same one the instance's offline optimum and the shared
 LCP replay consume, so a ``bounds=`` trajectory may be handed in and
 the sweep paid once per instance.
 """

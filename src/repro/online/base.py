@@ -238,10 +238,11 @@ def run_online(instance: Instance, algorithm: OnlineAlgorithm, *,
     prediction window, if any) and the resulting schedule is priced with
     eq. (1) — via the continuous extension for fractional algorithms.
 
-    Under a vectorized kernel (:func:`repro.kernels.is_vectorized`,
-    i.e. ``"vector"`` — the default — or ``"batched"``) algorithms
-    that consume work-function bounds replay from one whole-table kernel sweep — ``bounds`` may
-    pass a precomputed :class:`repro.kernels.SweepResult` (e.g. the
+    Under the vectorized kernel (:func:`repro.kernels.is_vectorized`,
+    i.e. ``"vector"``, the default) algorithms that consume
+    work-function bounds replay from one whole-table kernel sweep —
+    ``bounds`` may pass a precomputed
+    :class:`repro.kernels.SweepResult` (e.g. the
     engine's per-instance memo) — and algorithms offering
     :meth:`OnlineAlgorithm.run_table` commit their whole trajectory in
     one call.  Both fast paths are bit-identical to the per-step loop

@@ -14,18 +14,19 @@ The runner is the substrate every large-scale experiment stands on:
   in-order-drain scheduling loop (:func:`run_pipeline`) the engine,
   ``analysis/sweep`` and the lease-queue worker all run on.
 * :mod:`repro.runner.engine` — expands a :class:`GridSpec` of
-  (scenario x algorithm x seed x size) into jobs, materializes each
-  distinct instance once (phase 0), solves each instance's offline
-  optimum once (phase 1), fans the algorithm jobs out on a persistent
-  process pool with deterministic per-job seeding (phase 2) and
+  (scenario x algorithm x seed x size) into jobs, groups them by
+  instance and hands whole instances to one worker task kind —
+  in-process or on a persistent process pool — that materializes the
+  instance once, solves its offline optimum once and runs every
+  pending job on it with deterministic per-job seeding; then
   aggregates competitive ratios.
 * :mod:`repro.runner.leasequeue` — multi-host execution: a WAL-mode
   SQLite lease queue workers claim contiguous job ranges from
   (heartbeat, expiry, reclaim), plus the :func:`merge_results` step
   that reassembles per-worker rows into one bit-identical result set.
 * :mod:`repro.runner.instancestore` — the shared mmap-backed store of
-  materialized instance payloads (each instance tabulated once) plus a
-  small per-process build memo for store-less runs.
+  materialized instance payloads (each instance tabulated once per
+  store) plus a small per-process build memo.
 * :mod:`repro.runner.jobcache` — the per-job content-addressed result
   store behind incremental grids (JSON-dir or single-file SQLite
   backend): one record per job / instance optimum, shared by every

@@ -1,49 +1,49 @@
-"""Pipelined batch engine for experiment grids.
+"""Instance-major batch engine for experiment grids.
 
 A :class:`GridSpec` names the cartesian product of
 (scenario x algorithm x seed x horizon x params); the engine *streams*
-it: job coordinates are generated lazily, submitted in bounded batches
+it: job coordinates are generated lazily, admitted in bounded batches
 (``batch_size``), and finished rows flow — in job order — into a
 pluggable result sink (:mod:`repro.runner.sinks`), so a million-job
 grid holds O(``pipeline_depth`` x batch) pending records in the parent
-instead of the whole table.  Each batch runs through three phases —
-in-process or on a persistent process pool with fused chunking:
+instead of the whole table.
 
-* **Phase 0 — materialization.**  With a ``store_dir``, each distinct
-  ``(scenario, pipeline, T, inst_seed)`` instance is built exactly once
-  and its dense payload written to the content-addressed
-  :class:`~repro.runner.instancestore.InstanceStore`; later phases (and
-  every other grid sharing the store) reopen it read-only via ``mmap``
-  instead of re-tabulating cost matrices.  Without a store only a
-  small per-process memo (8 instances) saves rebuilds: once a chunk
-  covers more than 8 instances, phase 1, the phase-2 shared replay and
-  the phase-2 solo jobs each build every instance again — 3 builds
-  per instance (docs/ARCHITECTURE.md §2).
-* **Phase 1 — instances.**  Each distinct instance's offline optimum is
-  solved exactly once, however many algorithms the grid runs on it.
-  Optima are persisted when a cache directory is given, so a grid with
-  ``A`` algorithms pays roughly ``1/A`` of the naive per-job cost.
-* **Phase 2 — algorithms.**  Algorithm jobs fan out in *fused chunks*
-  (``chunk_jobs`` jobs per worker round-trip, amortizing pickle/IPC),
-  each reusing its instance's hoisted optimum; jobs of one instance
-  whose algorithms consume work-function bounds (the LCP family) are
-  replayed together from one shared ``O(T m)`` sweep
-  (:func:`repro.online.base.run_online_many`).  A batch's rows are
-  flushed to the sink — in job order — as soon as the batch completes
-  *and* every earlier batch has flushed, and each job's row is written
-  to the per-job cache the moment its chunk finishes — so a killed grid
-  resumes from the cache paying only the jobs it never finished.
+Work is *instance-major*: a batch's pending jobs are grouped by the
+instance they run on, and one worker task kind
+(:func:`_run_instances`) takes whole instances — in-process or on the
+persistent process pool.  For each instance it holds, the task
+
+* **materializes** it — with a ``store_dir``, the dense payload is
+  written once to the content-addressed
+  :class:`~repro.runner.instancestore.InstanceStore`, which the solve,
+  the jobs and every other grid sharing the store reopen read-only via
+  ``mmap`` instead of re-tabulating cost matrices;
+* **solves** its offline optimum, unless the parent already holds it
+  (the record window or the ``instances`` cache) — once per instance,
+  however many algorithms the grid runs on it;
+* **runs** all of the batch's pending jobs on it against that optimum.
+  Jobs whose algorithms consume work-function bounds (the LCP family)
+  replay together (:func:`repro.online.base.run_online_many`) from the
+  same memoized ``O(T m)`` sweep the optimum came from.
+
+So each instance is built (or loaded) once and swept once per run,
+with or without a store.  A batch's rows are flushed — in job order —
+as soon as the batch completes *and* every earlier batch has flushed,
+and each job's row is written to the per-job cache the moment its task
+is harvested — so a killed grid resumes from the cache paying only the
+jobs it never finished.
 
 The double-buffer / in-order-drain scheduling itself lives in
 :mod:`repro.runner.executor` (:func:`~repro.runner.executor.\
 run_pipeline`), shared with :func:`repro.analysis.sweep.sweep` and the
 multi-host lease-queue worker loop: this module contributes the grid
-*consumer* — the three-phase stage machine each admitted batch runs
-(:class:`_BatchState` driven by :class:`_GridRun`).  Up to
-``pipeline_depth`` batches are in flight at once, so while batch N's
-phase-2 chunks run, the parent is already generating batch N+1 and
-submitting its phase-0 materializations and phase-1 solves — workers
-never idle waiting for the parent to build the next batch.  The
+*consumer* — one plan step and one harvest step per batch
+(:class:`_GridRun`).  Up to ``pipeline_depth`` batches are in flight
+at once, so while batch N's tasks run the parent already plans batch
+N+1 — workers never idle waiting for the parent.  At most one
+in-flight task holds any one instance: a batch boundary that cuts an
+instance's jobs makes the later group wait for the earlier task's
+harvest, then reuse its optimum and stored payload.  The
 ``overlapped_batches`` and ``inflight_max`` stats counters prove the
 overlap (both stay at 0/1 on the in-process path, where each batch
 completes synchronously).
@@ -63,16 +63,16 @@ Three properties make this the substrate for every large experiment:
   backend): one record per job key, plus one per instance optimum.
   Overlapping grids share work, and extending a grid by one seed
   executes only the new seed's jobs.
-* **Pool reuse** — all phases share the executor's persistent
+* **Pool reuse** — every task runs on the executor's persistent
   module-level ``ProcessPoolExecutor`` (fork-else-spawn, grown never
-  shrunk), reused across phases, grids and callers
+  shrunk), reused across batches, grids and callers
   (``analysis/sweep``, ``repro lowerbound``, :func:`parallel_map`), so
   the many small grids the benches run don't pay a pool fork each;
   :func:`shutdown_pool` tears it down explicitly (and at interpreter
   exit), cancelling queued-but-unstarted tasks so an interrupted
-  pipeline never leaks orphaned work.  Jobs are handed to workers in
-  contiguous chunks to amortize IPC, while row order always matches
-  job order.
+  pipeline never leaks orphaned work.  Whole instances are handed to
+  workers in contiguous tasks of about ``chunk_jobs`` jobs to amortize
+  IPC, while row order always matches job order.
 
 Algorithms are resolved through :mod:`repro.runner.registry`; the
 registry entry's ``pipeline`` selects the instance representation, so
@@ -251,7 +251,8 @@ def job_key(job: tuple) -> str:
 
 
 def _instance_coords(job: tuple) -> tuple:
-    """The phase-0/1 coordinates a job's instance is built from."""
+    """The coordinates of the instance a job runs on (the key the
+    engine groups, materializes and solves instances by)."""
     from .registry import get_spec
     scenario, algorithm, T, inst_seed, _seed, _lookahead, params = job
     return (scenario, get_spec(algorithm).pipeline, T, inst_seed, params)
@@ -268,11 +269,11 @@ def instance_key(coords: tuple) -> str:
 
 
 def _solve_instance(task: tuple) -> dict:
-    """Phase-1 job: resolve one instance, solve its offline optimum once.
+    """Resolve one instance and solve its offline optimum once.
 
-    ``task`` is ``(coords, store_root)``; must stay module-level (pool
-    pickling).  Returns the per-instance record reused by every phase-2
-    job on the same instance.  Game instances delegate to their own
+    ``task`` is ``(coords, store_root)``; must stay module-level (tests
+    patch it).  Returns the per-instance record reused by every job on
+    the same instance.  Game instances delegate to their own
     ``baseline()`` — adaptive games have no algorithm-independent
     optimum (``opt`` is ``None``), simulator games hoist the simulated
     cost of the optimal schedule.
@@ -285,7 +286,7 @@ def _solve_instance(task: tuple) -> dict:
     if pipeline == "general":
         if kernels.is_vectorized():
             # One memoized kernel sweep serves this optimum *and* the
-            # phase-2 shared replay / backward solver on the same
+            # shared replay / backward solver of the jobs on the same
             # instance (the final work-function row's minimum is the
             # Section 2 DP optimum, bit-identically — the recurrences
             # are the same ufunc sequence; see docs/KERNELS.md).
@@ -298,15 +299,10 @@ def _solve_instance(task: tuple) -> dict:
         if kernels.is_vectorized():
             # The restricted forward DP is the work-function recurrence
             # on the masked cost table, so the sweep's final-row
-            # minimum is solve_restricted's cost bit-identically — and
-            # a batched-prefetch pass may already have memoized it
-            # (peek first to skip rebuilding the cost table).
-            sweep = kernels.peek_sweep(coords)
-            if sweep is None:
-                from ..offline.restricted import restricted_cost_matrix
-                sweep = kernels.cached_sweep(
-                    coords, restricted_cost_matrix(inst), inst.beta)
-            opt = sweep.opt
+            # minimum is solve_restricted's cost bit-identically.
+            from ..offline.restricted import restricted_cost_matrix
+            opt = kernels.cached_sweep(
+                coords, restricted_cost_matrix(inst), inst.beta).opt
             if opt == float("inf"):
                 raise ValueError(
                     "restricted instance has no feasible schedule")
@@ -355,11 +351,11 @@ def _online_row(job: tuple, spec, inst_record: dict, cost: float) -> dict:
 
 
 def _run_job(task: tuple) -> dict:
-    """Phase-2 job: run one algorithm against its hoisted optimum.
+    """Run one algorithm job against its instance's hoisted optimum.
 
     ``task`` is ``(job, inst_record, store_root)`` with the record
-    produced by :func:`_solve_instance`; must stay module-level (pool
-    pickling).
+    produced by :func:`_solve_instance`; must stay module-level (tests
+    patch it).
     """
     from .registry import get_spec, pipeline_optimum
     job, inst_record, store_root = task
@@ -368,7 +364,7 @@ def _run_job(task: tuple) -> dict:
     if algorithm == pipeline_optimum(spec.pipeline) or (
             spec.pipeline == "game" and spec.optimal
             and inst_record.get("opt") is not None):
-        # the phase-1 baseline *is* this entry's result (e.g. sim-opt):
+        # the instance's baseline *is* this entry's result (e.g. sim-opt):
         # synthesize the row — record keys beyond opt/m/beta are its
         # extra columns — instead of repeating the identical solve
         extras = {k: v for k, v in inst_record.items()
@@ -396,7 +392,7 @@ def _run_job(task: tuple) -> dict:
         bounds = None
         if (spec.shares_workfunction and alg.consumes_bounds
                 and alg.lookahead == 0 and kernels.is_vectorized()):
-            # reuse (or seed) the per-process sweep memo phase 1 filled
+            # reuse (or seed) the per-process sweep memo the solve filled
             bounds = kernels.cached_sweep(_instance_coords(job),
                                           inst.F, inst.beta)
         return _online_row(job, spec, inst_record,
@@ -419,43 +415,9 @@ def _run_job(task: tuple) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Fused multi-job tasks: one worker round-trip executes a whole chunk,
-# amortizing pickle/IPC, and co-scheduled LCP-family jobs on the same
-# instance share a single work-function sweep.
+# Shared replay: co-scheduled LCP-family jobs on one instance share a
+# single work-function sweep.
 # ----------------------------------------------------------------------
-
-
-def _prefetch_sweeps(entries) -> None:
-    """Seed the sweep memo for a chunk's instances in one batched pass.
-
-    ``entries`` is an iterable of ``(coords, store_root)`` pairs.  Under
-    ``REPRO_KERNEL=batched``, the general and restricted instances among
-    them are stacked by table shape and swept through
-    :func:`repro.kernels.cached_sweep_many` — one kernel launch per
-    same-shape group — so the per-item paths that follow (phase-1
-    optimum, shared replay, backward solver) hit the memo.  A no-op
-    under every other kernel.  Purely an accelerator: an instance that
-    fails to resolve here is skipped, and the per-item path surfaces
-    the error with its full retry/quarantine accounting.
-    """
-    if kernels.active() != "batched":
-        return
-    items = []
-    for coords, store_root in dict.fromkeys(entries):
-        if kernels.peek_sweep(coords, touch=False) is not None:
-            continue
-        try:
-            inst = get_instance(coords, store_root)
-            if coords[1] == "general":
-                items.append((coords, inst.F, inst.beta))
-            elif coords[1] == "restricted":
-                from ..offline.restricted import restricted_cost_matrix
-                items.append((coords, restricted_cost_matrix(inst),
-                              inst.beta))
-        except Exception:
-            continue
-    if items:
-        kernels.cached_sweep_many(items)
 
 
 def _sharing_coords(job: tuple):
@@ -483,8 +445,9 @@ def _run_shared(tasks: list[tuple]) -> list[dict]:
     :func:`~repro.online.base.run_online_many`; offline sharers (the
     ``backward_lcp`` solver) receive the same bound trajectory via
     their ``bounds=`` parameter.  Under the vectorized kernel the
-    trajectory comes from the per-process memo phase 1 already filled;
-    under the scalar reference each path keeps its own per-step sweep.
+    trajectory comes from the per-process memo the instance's solve
+    already filled; under the scalar reference each path keeps its own
+    per-step sweep.
     """
     from .registry import get_spec
     from ..online.base import run_online_many
@@ -593,23 +556,8 @@ def _solve_with_retry(coords, store_root, policy: RetryPolicy):
             retry_sleep(policy, attempt)
 
 
-def _solve_chunk_retry(task: tuple) -> dict:
-    """Fused, fault-tolerant phase-1 chunk.  ``task`` is
-    ``(coords_list, store_root, policy)``; returns an envelope
-    ``{"records": [...], "retries": n}`` so the parent can account
-    retries without timestamps ever entering a record."""
-    coords_list, store_root, policy = task
-    _prefetch_sweeps((coords, store_root) for coords in coords_list)
-    records, retries = [], 0
-    for coords in coords_list:
-        rec, r = _solve_with_retry(coords, store_root, policy)
-        records.append(rec)
-        retries += r
-    return {"records": records, "retries": retries}
-
-
 def _attempt_items(tasks, idxs, rows, done, errors) -> None:
-    """Execute the chunk items ``idxs`` once, capturing per-item
+    """Execute the job tasks ``idxs`` once, capturing per-item
     failures.  Sweep-sharing groups still replay together; a failure
     inside a shared replay degrades that group to per-item execution,
     so one poison job cannot fail its co-batched siblings."""
@@ -655,55 +603,98 @@ def _attempt_items(tasks, idxs, rows, done, errors) -> None:
             errors[i] = exc
 
 
-def _run_chunk_retry(task: tuple) -> dict:
-    """Fused, fault-tolerant phase-2 chunk.  ``task`` is
-    ``(tasks, policy)`` where each item is the ``(job, inst_record,
-    store_root)`` task :func:`_run_job` takes; returns ``{"rows": [...],
-    "retries": n}``.
+def _run_group(jobs: list, record: dict, store_root,
+               policy: RetryPolicy) -> tuple[list, int]:
+    """Run one instance's jobs against its optimum ``record``.
 
-    A failing item is retried (exponential backoff, in this worker so
-    per-process fault counters stay deterministic) up to
-    ``policy.max_retries`` times, then quarantined; successful rows —
-    including successful-after-retry ones — are byte-identical to a
-    fault-free run's, so retries never perturb the result set.  Items
-    whose phase-1 record already failed are quarantined immediately.
+    Returns ``(rows, retries)`` with the rows in job order.  A failing
+    job is retried (exponential backoff, in this worker so per-process
+    fault counters stay deterministic) up to ``policy.max_retries``
+    times, then quarantined; successful rows — including
+    successful-after-retry ones — are byte-identical to a fault-free
+    run's, so retries never perturb the result set.  A failed
+    ``record`` quarantines every job without running it.
     """
-    tasks, policy = task
-    if tasks:
-        faults.fire("worker_exit", _job_token(tasks[0][0]))
-    n = len(tasks)
-    rows: list = [None] * n
-    done = [False] * n
-    errors: list = [None] * n
-    attempts = [0] * n
-    retries = 0
-    pending = []
-    for i, (job, rec, _root) in enumerate(tasks):
-        if isinstance(rec, dict) and rec.get("status") == "failed":
-            rows[i] = _quarantine_row(job, "solve_instance", rec,
-                                      rec.get("attempts", 0))
-            done[i] = True
-        else:
-            pending.append(i)
-    _prefetch_sweeps(
-        (coords, tasks[i][2]) for i in pending
-        if (coords := _sharing_coords(tasks[i][0])) is not None)
-    attempt = 0
+    if record.get("status") == "failed":
+        return [_quarantine_row(job, "solve_instance", record,
+                                record.get("attempts", 0))
+                for job in jobs], 0
+    tasks = [(job, record, store_root) for job in jobs]
+    rows: list = [None] * len(tasks)
+    done = [False] * len(tasks)
+    errors: list = [None] * len(tasks)
+    pending = list(range(len(tasks)))
+    attempt = retries = 0
     while pending:
         attempt += 1
-        for i in pending:
-            attempts[i] = attempt
         _attempt_items(tasks, pending, rows, done, errors)
-        failed = [i for i in pending if not done[i]]
-        pending = failed
-        if not failed or attempt > policy.max_retries:
+        pending = [i for i in pending if not done[i]]
+        if not pending or attempt > policy.max_retries:
             break
-        retries += len(failed)
+        retries += len(pending)
         retry_sleep(policy, attempt)
     for i in pending:
         rows[i] = _quarantine_row(tasks[i][0], "run_job",
-                                  _failure_info(errors[i]), attempts[i])
-    return {"rows": rows, "retries": retries}
+                                  _failure_info(errors[i]), attempt)
+    return rows, retries
+
+
+def _work_counters() -> dict:
+    """This process's monotonic instance-resolution and sweep-memo
+    counters (:func:`~repro.runner.instancestore.build_stats`,
+    :func:`repro.kernels.sweep_stats`)."""
+    return {**instancestore.build_stats(), **kernels.sweep_stats()}
+
+
+def _run_instances(task: tuple) -> dict:
+    """The engine's one worker task: whole instances, end to end.
+
+    ``task`` is ``(groups, store_root, policy)``; must stay
+    module-level (pool pickling).  Each group is ``(coords, record,
+    jobs)``: one instance's coordinates, its optimum record when the
+    parent already holds one (else ``None``) and its pending jobs in
+    job order.  For each group, in order:
+
+    1. with a store, materialize a storable scenario's payload unless
+       present — best-effort: a failure only costs the ``mmap``
+       shortcut, so the solve and the jobs rebuild the instance;
+    2. unless a record was passed, solve the optimum
+       (:func:`_solve_with_retry`);
+    3. run the jobs (:func:`_run_group`).
+
+    Returns the envelope ``{"rows", "records", "retries",
+    "materialized", "counters"}``: the rows in task order, each
+    group's newly solved record (``None`` when one was passed), the
+    retry and newly-materialized counts, and this process's deltas of
+    :func:`_work_counters` — so the parent totals the work of every
+    pool worker, and no timestamp ever enters a row.
+    """
+    from .scenarios import get_scenario
+    groups, store_root, policy = task
+    faults.fire("worker_exit", _job_token(groups[0][2][0]))
+    before = _work_counters()
+    store = None if store_root is None else InstanceStore(store_root)
+    rows: list = []
+    records: list = []
+    retries = materialized = 0
+    for coords, record, jobs in groups:
+        if store is not None and get_scenario(coords[0]).storable:
+            try:
+                materialized += store.materialize(coords)
+            except Exception:
+                pass  # best-effort, see above
+        solved = None
+        if record is None:
+            solved, r = _solve_with_retry(coords, store_root, policy)
+            record, retries = solved, retries + r
+        group_rows, r = _run_group(jobs, record, store_root, policy)
+        rows += group_rows
+        records.append(solved)
+        retries += r
+    after = _work_counters()
+    return {"rows": rows, "records": records, "retries": retries,
+            "materialized": materialized,
+            "counters": {k: after[k] - before[k] for k in after}}
 
 
 def _validate_pipelines(spec: GridSpec) -> None:
@@ -790,93 +781,40 @@ class _RecordWindow:
             self._data.popitem(last=False)
 
 
-class _Promise:
-    """One instance's offline optimum, somewhere between *planned* and
-    *solved*.  The owning batch fills in ``(future, pos)`` when it
-    submits its phase-1 chunk and ``record`` at harvest; a later batch
-    that needs the same instance (job order keeps them adjacent, so
-    only batch boundaries overlap) borrows the promise instead of
-    re-submitting the solve."""
-
-    __slots__ = ("future", "pos", "record")
-
-    def __init__(self):
-        self.future: Future | None = None
-        self.pos: int | None = None
-        self.record: dict | None = None
-
-    def ready(self) -> bool:
-        return self.record is not None or (
-            self.future is not None and self.future.done())
-
-    def result(self) -> dict:
-        if self.record is None:
-            out = self.future.result()
-            if isinstance(out, dict):  # _solve_chunk_retry envelope
-                out = out["records"]
-            self.record = out[self.pos]
-        return self.record
-
-
-#: batch pipeline stages, in order
-_MAT, _SOLVE, _RUN, _DONE = range(4)
-
-
 class _BatchState(PipelineBatch):
-    """One in-flight batch's progress through the three phases.
+    """One admitted batch: its rows, its in-flight worker tasks and the
+    instance groups still waiting for an earlier batch's task.
 
-    The stage machine itself (cache lookups, phase submissions,
-    harvests) lives on the owning :class:`_GridRun`; this object holds
-    the per-batch bookkeeping and satisfies the
+    The plan and harvest steps live on the owning :class:`_GridRun`;
+    this object holds the per-batch bookkeeping and satisfies the
     :class:`~repro.runner.executor.PipelineBatch` contract the shared
-    scheduler drives.
+    scheduler drives.  A *group* is ``(coords, items)``: one instance's
+    coordinates and its pending ``(position, job, key)`` items.
     """
 
-    __slots__ = ("run", "batch", "size", "rows", "pending", "stage",
-                 "mat_futures", "mat_borrowed", "to_solve",
-                 "own_promises", "borrowed", "records", "run_futures",
-                 "solve_chunks")
+    __slots__ = ("run", "size", "rows", "tasks", "waiting")
 
-    def __init__(self, run: "_GridRun", batch: list):
+    def __init__(self, run: "_GridRun", size: int):
         self.run = run
-        self.batch = batch
-        self.size = len(batch)
-        self.rows: list = [None] * len(batch)
-        self.pending: list[tuple[int, tuple, str]] = []
-        self.stage = _MAT
-        self.mat_futures: list[tuple[list, Future]] = []
-        self.mat_borrowed: list[Future] = []
-        self.to_solve: list[tuple] = []
-        self.own_promises: dict[tuple, _Promise] = {}
-        self.borrowed: dict[tuple, _Promise] = {}
-        self.records: dict[tuple, dict] = {}
-        self.run_futures: list[tuple[list, Future]] = []
-        #: mutable [coords_chunk, future] pairs — the future slot is
-        #: rewired when a broken pool forces a chunk resubmission, and
-        #: cleared (None) once the chunk's envelope is accounted
-        self.solve_chunks: list[list] = []
+        self.size = size
+        self.rows: list = [None] * size
+        #: submitted, unharvested tasks: ``(groups, payload, future)``
+        self.tasks: list[tuple[list, list, Future]] = []
+        #: groups whose instance an earlier batch's task still holds
+        self.waiting: list[tuple[tuple, list]] = []
 
     def advance(self) -> bool:
         return self.run.advance(self)
 
     def done(self) -> bool:
-        return self.stage == _DONE
+        return not (self.tasks or self.waiting)
 
     def unfinished_futures(self) -> list[Future]:
         """Futures the scheduler may need to block on."""
-        futures = [f for _c, f in self.mat_futures if not f.done()]
-        futures += [f for f in self.mat_borrowed if not f.done()]
-        futures += [p.future for p in self.own_promises.values()
-                    if p.future is not None and not p.future.done()]
-        futures += [f for _chunk, f in self.run_futures if not f.done()]
-        return futures
+        return [f for _g, _p, f in self.tasks if not f.done()]
 
     def all_futures(self) -> list[Future]:
-        futures = [f for _c, f in self.mat_futures]
-        futures += [p.future for p in self.own_promises.values()
-                    if p.future is not None]
-        futures += [f for _chunk, f in self.run_futures]
-        return futures
+        return [f for _g, _p, f in self.tasks]
 
     def flush(self) -> int:
         self.run.sink.write_many(self.rows)
@@ -893,27 +831,28 @@ class _GridRun:
     """Shared context of one :func:`run_grid` call.
 
     The grid *consumer* of :func:`~repro.runner.executor.run_pipeline`:
-    plans each admitted batch (cache lookups, phase-0 submission) and
-    moves its :class:`_BatchState` through the three-phase stage
-    machine, sharing the optimum window, cross-batch solve promises and
-    in-flight materialization dedupe across the whole run.
+    plans each admitted batch (job-cache lookups, grouping by instance,
+    task submission) and harvests its tasks' envelopes, sharing the
+    optimum window and the set of instances held by in-flight tasks
+    across the whole run.  At most one in-flight task holds any one
+    instance: a group whose instance is still in an earlier batch's
+    unharvested task waits until that task is harvested, and then
+    finds its optimum in the window and its payload in the store.
     """
 
-    def __init__(self, spec: GridSpec, config: EngineConfig, cache,
-                 sink, stats: RunStats, store_root):
-        """Bind one run's spec, config, cache, sink and counters."""
-        self.spec = spec
+    def __init__(self, config: EngineConfig, cache, sink,
+                 stats: RunStats, store_root):
+        """Bind one run's config, cache, sink and counters."""
         self.config = config
         self.cache = cache
         self.sink = sink
         self.stats = stats
         self.store_root = store_root
         self.n_jobs = config.n_jobs
-        self.chunk_jobs = config.chunk_jobs
         self.force = config.force
         self.window = _RecordWindow()
-        self.promises: dict[tuple, _Promise] = {}
-        self.materializing: dict[tuple, Future] = {}
+        #: instances held by submitted, unharvested tasks
+        self.busy: set[tuple] = set()
         self.policy = RetryPolicy(max_retries=config.max_retries,
                                   backoff=config.retry_backoff)
         #: pool generation each in-flight future was submitted under
@@ -922,21 +861,19 @@ class _GridRun:
         #: across runs — the lease-queue worker reuses one RunStats —
         #: so the per-run bound needs its own counter)
         self.pool_restarts = 0
-        from .scenarios import get_scenario
-        self.storable = {name: get_scenario(name).storable
-                         for name in spec.scenarios}
 
-    def _submit(self, fn, payload) -> Future:
-        """Submit one chunk, recording the pool generation so a later
+    def _submit(self, payload: list) -> Future:
+        """Submit one task, recording the pool generation so a later
         ``BrokenProcessPool`` can be attributed to the right pool
-        incarnation (and the chunk resubmitted on a fresh one)."""
+        incarnation (and the task resubmitted on a fresh one)."""
+        task = (payload, self.store_root, self.policy)
         try:
-            future = submit_task(fn, payload, self.n_jobs)
+            future = submit_task(_run_instances, task, self.n_jobs)
         except BrokenProcessPool:
             # the pool died between harvests: retire it and retry the
             # submission once on the respawned pool
             self._pool_failure(pool_generation())
-            future = submit_task(fn, payload, self.n_jobs)
+            future = submit_task(_run_instances, task, self.n_jobs)
         if self.n_jobs > 1:
             self.future_gen[future] = pool_generation()
         return future
@@ -960,8 +897,7 @@ class _GridRun:
         cached (re-runs must retry them) and a failing cache write —
         real or injected — is absorbed and counted, never fatal (the
         record is already in hand; only re-runs pay for the loss)."""
-        if self.cache is None or (isinstance(record, dict)
-                                  and record.get("status") == "failed"):
+        if self.cache is None or record.get("status") == "failed":
             return
         try:
             faults.fire("cache_put", key)
@@ -969,32 +905,23 @@ class _GridRun:
         except Exception:
             self.stats.cache_put_failures += 1
 
-    def _resubmit_solve(self, st: "_BatchState", broken: Future) -> bool:
-        """Resubmit the phase-1 chunk whose future ``broken`` was lost
-        to a dead pool, rewiring the chunk's unresolved promises to the
-        new future (borrowing batches observe the rewire for free)."""
-        for entry in st.solve_chunks:
-            chunk_coords, future = entry
-            if future is not broken:
-                continue
-            gen = self.future_gen.pop(broken, None)
-            self._pool_failure(gen)
-            fresh = self._submit(_solve_chunk_retry,
-                                 (chunk_coords, self.store_root,
-                                  self.policy))
-            entry[1] = fresh
-            for pos, coords in enumerate(chunk_coords):
-                promise = st.own_promises[coords]
-                if promise.record is None:
-                    promise.future, promise.pos = fresh, pos
-            return True
-        return False
+    def _record(self, coords):
+        """The optimum record the parent already holds for ``coords``
+        (the window, else the ``instances`` cache), or ``None``."""
+        rec = self.window.get(coords)
+        if rec is None and self.cache is not None and not self.force:
+            rec = self.cache.get("instances", instance_key(coords))
+            if rec is not None:
+                self.window.put(coords, rec)
+                self.stats.opt_hits += 1
+        return rec
 
     def plan(self, batch: list) -> _BatchState:
-        """Admit one batch: cache lookups, then submit phase 0 (and,
-        via :meth:`advance`, everything that is already unblocked)."""
-        st = _BatchState(self, batch)
+        """Admit one batch: job-cache lookups, then group the pending
+        jobs by instance (first-appearance order) and submit them."""
+        st = _BatchState(self, len(batch))
         cache, force = self.cache, self.force
+        groups: dict[tuple, list] = {}
         for i, job in enumerate(batch):
             key = job_key(job)
             row = (cache.get("jobs", key)
@@ -1003,231 +930,100 @@ class _GridRun:
                 st.rows[i] = row
                 self.stats.job_hits += 1
             else:
-                st.pending.append((i, job, key))
-        self.stats.job_misses += len(st.pending)
-        if not st.pending:
-            st.stage = _DONE
-            return st
-        need = dict.fromkeys(_instance_coords(job)
-                             for _, job, _ in st.pending)
-        self.window.fit(len(need) * self.config.pipeline_depth)
-        for coords in need:
-            promise = self.promises.get(coords)
-            if promise is not None:   # an earlier batch is solving it
-                st.borrowed[coords] = promise
-                continue
-            rec = self.window.get(coords)
-            if rec is None and cache is not None and not force:
-                rec = cache.get("instances", instance_key(coords))
-                if rec is not None:
-                    self.window.put(coords, rec)
-                    self.stats.opt_hits += 1
-            if rec is not None:
-                st.records[coords] = rec
-            else:
-                st.to_solve.append(coords)
-                self.promises[coords] = st.own_promises[coords] = \
-                    _Promise()
-        # Phase 0: materialize each distinct pending instance once
-        # (scenarios with dense payloads only).  Borrowed instances are
-        # the previous batch's responsibility, and a materialization an
-        # earlier in-flight batch already submitted is *waited on*, not
-        # re-submitted — overlap must not duplicate instance builds.
-        if self.store_root is not None:
-            store = InstanceStore(self.store_root)
-            missing = []
-            for coords in need:
-                if coords in st.borrowed or not self.storable[coords[0]]:
-                    continue
-                shared = self.materializing.get(coords)
-                if shared is not None:
-                    st.mat_borrowed.append(shared)
-                elif not store.has(coords):
-                    missing.append(coords)
-            for chunk in chunk_list(missing, self.n_jobs,
-                                    self.chunk_jobs):
-                future = self._submit(instancestore._materialize_chunk,
-                                      (chunk, self.store_root))
-                st.mat_futures.append((chunk, future))
-                for coords in chunk:
-                    self.materializing[coords] = future
+                groups.setdefault(_instance_coords(job), []).append(
+                    (i, job, key))
+                self.stats.job_misses += 1
+        self.window.fit(len(groups) * self.config.pipeline_depth)
+        st.waiting = list(groups.items())
+        self._submit_ready(st)
         return st
 
-    def submit_solves(self, st: _BatchState) -> None:
-        """Submit the batch's phase-1 optimum solves as fused chunks."""
-        for chunk in chunk_list(st.to_solve, self.n_jobs,
-                                self.chunk_jobs):
-            future = self._submit(_solve_chunk_retry,
-                                  (chunk, self.store_root, self.policy))
-            st.solve_chunks.append([chunk, future])
-            for pos, coords in enumerate(chunk):
-                promise = st.own_promises[coords]
-                promise.future, promise.pos = future, pos
-
-    def submit_runs(self, st: _BatchState) -> None:
-        """Submit the batch's phase-2 algorithm jobs as fused chunks."""
-        for chunk in chunk_list(st.pending, self.n_jobs,
-                                self.chunk_jobs):
-            tasks = [(job, st.records[_instance_coords(job)],
-                      self.store_root)
-                     for _i, job, _key in chunk]
-            st.run_futures.append(
-                (chunk, self._submit(_run_chunk_retry,
-                                     (tasks, self.policy))))
+    def _submit_ready(self, st: _BatchState) -> bool:
+        """Pack the batch's groups whose instance no in-flight task
+        holds into tasks of ``chunk_jobs`` jobs (rounded up to whole
+        instances) and submit them; True when any was submitted."""
+        ready = [g for g in st.waiting if g[0] not in self.busy]
+        if not ready:
+            return False
+        st.waiting = [g for g in st.waiting if g[0] in self.busy]
+        for groups in chunk_list(ready, self.n_jobs,
+                                 self.config.chunk_jobs,
+                                 weight=lambda g: len(g[1])):
+            payload = [(coords, self._record(coords),
+                        [job for _i, job, _key in items])
+                       for coords, items in groups]
+            self.busy.update(coords for coords, _items in groups)
+            st.tasks.append((groups, payload, self._submit(payload)))
+        return True
 
     def advance(self, st: _BatchState) -> bool:
-        """Move one batch through its stage machine; True on progress."""
+        """Harvest the batch's finished tasks, then submit its groups
+        that were waiting on them; True on progress."""
         progressed = False
-        if st.stage == _MAT and all(
-                f.done() for _c, f in st.mat_futures) and all(
-                f.done() for f in st.mat_borrowed):
-            for chunk_coords, future in st.mat_futures:
-                try:
-                    self.stats.inst_materialized += sum(
-                        map(bool, future.result()))
-                except BrokenProcessPool:
-                    self._pool_failure(self.future_gen.get(future))
-                except Exception:
-                    # phase 0 is best-effort: a failed (or injected)
-                    # materialization only costs the mmap shortcut —
-                    # phases 1/2 rebuild the instance in-process
-                    pass
-                self.future_gen.pop(future, None)
-                for coords in chunk_coords:
-                    self.materializing.pop(coords, None)
-            st.mat_futures = []
-            st.mat_borrowed = []
-            self.submit_solves(st)
-            st.stage = _SOLVE
-            progressed = True
-        if st.stage == _SOLVE:
-            # account each solve chunk's envelope once (and resubmit
-            # chunks a dead pool lost) before touching any promise
-            for entry in st.solve_chunks:
-                _chunk_coords, future = entry
-                if future is None or not future.done():
+        remaining = []
+        for groups, payload, future in st.tasks:
+            if not future.done():
+                if self.future_gen.get(future) in (None, pool_generation()):
+                    remaining.append((groups, payload, future))
                     continue
-                try:
-                    env = future.result()
-                except BrokenProcessPool:
-                    self._resubmit_solve(st, future)
-                    progressed = True
-                    continue
-                self.future_gen.pop(future, None)
-                if isinstance(env, dict):
-                    self.stats.retries += env.get("retries", 0)
-                entry[1] = None  # accounted; promises keep their ref
+                # its pool was retired, and retiring waits for every task
+                # the pool knew of: a task still pending was submitted
+                # while the pool died and will never run — resubmit it
+                self.future_gen.pop(future)
+                remaining.append((groups, payload, self._submit(payload)))
                 progressed = True
-            for coords, promise in st.own_promises.items():
-                # harvest is keyed on THIS batch's bookkeeping, not on
-                # promise.record: a borrowing batch may have resolved
-                # the promise first, and that must not skip the owner's
-                # window/cache writes and opt_solved count
-                if coords in st.records or not promise.ready():
-                    continue
-                try:
-                    rec = promise.result()
-                except BrokenProcessPool:
-                    # the pool broke after the chunk loop above ran:
-                    # resubmit now; the rewired future finishes later
-                    self._resubmit_solve(st, promise.future)
-                    progressed = True
-                    continue
-                st.records[coords] = rec
+                continue
+            progressed = True
+            try:
+                env = future.result()
+            except BrokenProcessPool:
+                # the task was in flight on a pool that died: respawn
+                # (bounded) and resubmit only this task
+                self._pool_failure(self.future_gen.pop(future, None))
+                remaining.append((groups, payload, self._submit(payload)))
+                continue
+            self.future_gen.pop(future, None)
+            self._harvest(st, groups, env)
+        st.tasks = remaining
+        return self._submit_ready(st) or progressed
+
+    def _harvest(self, st: _BatchState, groups: list, env: dict) -> None:
+        """Account one finished task's envelope: solved records into
+        the window and the ``instances`` cache, rows into the batch and
+        the ``jobs`` cache, counters into the run's stats.  Failed
+        records reach the window only (later batches quarantine the
+        same jobs) and quarantined rows are never cached."""
+        for (coords, _items), rec in zip(groups, env["records"]):
+            self.busy.discard(coords)
+            if rec is not None:
                 self.window.put(coords, rec)
                 self.stats.opt_solved += 1
                 self._cache_put("instances", instance_key(coords), rec)
-                self.promises.pop(coords, None)
-                progressed = True
-            if (all(coords in st.records
-                    for coords in st.own_promises)
-                    and all(p.ready() for p in st.borrowed.values())):
-                try:
-                    for coords, promise in st.borrowed.items():
-                        st.records[coords] = promise.result()
-                except BrokenProcessPool:
-                    # the owning batch (always earlier in pump order)
-                    # resubmits and rewires; wait for the fresh future
-                    pass
-                else:
-                    self.submit_runs(st)
-                    st.stage = _RUN
-                    progressed = True
-        if st.stage == _RUN:
-            remaining = []
-            for chunk, future in st.run_futures:
-                if not future.done():
-                    remaining.append((chunk, future))
-                    continue
-                try:
-                    env = future.result()
-                except BrokenProcessPool:
-                    # the chunk was in flight on a pool that died:
-                    # respawn (bounded) and resubmit only this chunk
-                    self._pool_failure(self.future_gen.pop(future, None))
-                    tasks = [(job, st.records[_instance_coords(job)],
-                              self.store_root)
-                             for _i, job, _key in chunk]
-                    remaining.append(
-                        (chunk, self._submit(_run_chunk_retry,
-                                             (tasks, self.policy))))
-                    progressed = True
-                    continue
-                self.future_gen.pop(future, None)
-                rows = env["rows"] if isinstance(env, dict) else env
-                if isinstance(env, dict):
-                    self.stats.retries += env.get("retries", 0)
-                for (i, _job, key), row in zip(chunk, rows):
-                    st.rows[i] = row
-                    if isinstance(row, dict) and \
-                            row.get("status") == "failed":
-                        self.stats.quarantined += 1
-                    else:
-                        self._cache_put("jobs", key, row)
-                progressed = True
-            st.run_futures = remaining
-            if not remaining:
-                st.stage = _DONE
-                progressed = True
-        return progressed
+        items = [item for _coords, group in groups for item in group]
+        for (i, _job, key), row in zip(items, env["rows"]):
+            st.rows[i] = row
+            if row.get("status") == "failed":
+                self.stats.quarantined += 1
+            self._cache_put("jobs", key, row)
+        self.stats.retries += env["retries"]
+        self.stats.inst_materialized += env["materialized"]
+        for name, delta in env["counters"].items():
+            setattr(self.stats, name, getattr(self.stats, name) + delta)
 
     def salvage(self, st: _BatchState) -> None:
-        """Abort path: harvest completed-but-unflushed phase-2 chunks.
-
-        Rows land in the batch (so completed head batches still flush)
-        and — best-effort — in the job cache: a killed grid must not
-        recompute chunks it already paid for.
-        """
-        remaining = []
-        for chunk, future in st.run_futures:
-            if not (future.done() and not future.cancelled()):
-                remaining.append((chunk, future))
-                continue
-            try:
-                harvested = future.result()
-            except Exception:
-                remaining.append((chunk, future))
-                continue
-            rows = (harvested["rows"] if isinstance(harvested, dict)
-                    else harvested)
-            for (i, _job, key), row in zip(chunk, rows):
-                st.rows[i] = row
-                if isinstance(row, dict) and \
-                        row.get("status") == "failed":
-                    continue
-                if self.cache is not None:
-                    try:
-                        self.cache.put("jobs", key, row)
-                    except Exception:
-                        pass
-        st.run_futures = remaining
+        """Abort path: harvest tasks that finished but were never
+        harvested, so completed head batches still flush and a killed
+        grid does not recompute work it already paid for."""
+        for groups, _payload, future in st.tasks:
+            if (future.done() and not future.cancelled()
+                    and future.exception() is None):
+                self._harvest(st, groups, future.result())
 
 
 def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
              stats: RunStats | None = None,
              job_slice: tuple[int, int] | None = None):
-    """Stream every job of a grid through the pipelined three-phase
-    engine.
+    """Stream every job of a grid through the pipelined engine.
 
     Execution is configured by ``config``, an :class:`EngineConfig`
     (``None`` = the defaults), whose fields are named below.  Jobs are
@@ -1245,25 +1041,27 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     pool (:func:`~repro.runner.executor.run_pipeline` — the scheduling
     loop shared with ``analysis/sweep`` and the lease-queue worker):
     up to ``pipeline_depth`` batches are in flight, so batch N+1's
-    phase-0 materializations and phase-1 solves are submitted while
-    batch N's phase-2 chunks still run — the pool stays saturated end
-    to end instead of idling at three serial barriers per batch.  Phase
-    dispatch is *fused*: ``chunk_jobs`` jobs ride one worker round-trip
-    (``None`` auto-sizes, ``1`` disables fusion), and LCP-family jobs
-    sharing an instance are replayed from one shared work-function
-    sweep.  Rows are bit-identical for every
+    tasks are submitted while batch N's still run — the pool stays
+    saturated end to end instead of idling at a barrier per batch.
+    Each worker task takes whole instances (materialize, solve, run
+    every pending job of the batch on it); ``chunk_jobs`` jobs, rounded
+    up to whole instances, ride one worker round-trip (``None``
+    auto-sizes — one task per batch in-process, about two per worker
+    on the pool — and ``1`` gives one instance per task), and
+    LCP-family jobs sharing an instance are replayed from one shared
+    work-function sweep.  Rows are bit-identical for every
     ``(n_jobs, batch_size, pipeline_depth, chunk_jobs)`` combination.
 
     With ``cache_dir``, each job's row (and each instance's optimum) is
     read from the per-job content-addressed cache when present (unless
-    ``force``) and written back the moment its chunk completes — so
+    ``force``) and written back the moment its task completes — so
     re-running any overlapping grid only executes the jobs it has not
     seen before, and a grid killed mid-run resumes paying only the
     unfinished jobs.  ``cache_dir`` may also be a ready-made
     :class:`JobCache` (e.g. one opened on the SQLite backend).  With
-    ``store_dir``, phase 0 materializes each distinct pending instance
-    into the shared :class:`~repro.runner.instancestore.InstanceStore`
-    exactly once; phases 1 and 2 then mmap the payloads instead of
+    ``store_dir``, each distinct pending instance is materialized into
+    the shared :class:`~repro.runner.instancestore.InstanceStore`
+    exactly once; its solve and jobs then mmap the payload instead of
     rebuilding.
 
     ``job_slice=(start, stop)`` runs only that contiguous sub-range of
@@ -1282,12 +1080,14 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     0 on the serial path, > 0 proves pipeline overlap),
     ``inflight_max`` (peak simultaneously admitted batches),
     ``inst_materialized`` (instances newly written to the store this
-    call, wherever the build ran), plus this process's
-    instance-resolution deltas ``inst_builds`` (scenario builds — with
-    a store, at most one per distinct instance end-to-end),
-    ``inst_loads`` (store mmap loads) and ``inst_memo_hits``.  A
-    ``config`` or ``stats`` of any other type raises
-    :class:`TypeError` before the sink is opened.
+    call), the instance-resolution counters ``inst_builds`` (scenario
+    builds — at most one per distinct instance, with or without a
+    store), ``inst_loads`` (store mmap loads) and ``inst_memo_hits``,
+    and the sweep-memo counters ``sweep_memo_hits`` /
+    ``sweep_memo_misses`` — these five summed over every process that
+    ran a task, pool workers included.  A ``config`` or ``stats`` of
+    any other type, or a ``chunk_jobs`` below 1, raises before the
+    sink is opened.
     """
     config, run_stats = run_args(config, stats)
     cache = (config.cache_dir if isinstance(config.cache_dir, JobCache)
@@ -1306,11 +1106,9 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
                              f"for a {len(spec)}-job grid")
         jobs = itertools.islice(jobs, start, stop)
     batches_iter = iter_batches(jobs, config.batch_size)
-    inst_stats_before = instancestore.build_stats()
-    sweep_stats_before = kernels.sweep_stats()
     busy_stats_before = jobcache.busy_stats()
     sink = ListSink() if config.sink is None else config.sink
-    run = _GridRun(spec, config, cache, sink, run_stats, store_root)
+    run = _GridRun(config, cache, sink, run_stats, store_root)
     fault_plan = (None if config.fault_plan is None
                   else faults.as_plan(config.fault_plan))
     prev_fault_env = os.environ.get(faults.ENV_VAR)
@@ -1328,8 +1126,6 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
                      pipeline_depth=config.pipeline_depth,
                      stats=run_stats)
     finally:
-        run.promises.clear()
-        run.materializing.clear()
         sink.close()
         if fault_plan is not None:
             faults.deactivate()
@@ -1338,14 +1134,6 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
             else:
                 os.environ[faults.ENV_VAR] = prev_fault_env
             shutdown_pool()
-    inst_stats = instancestore.build_stats()
-    for key in inst_stats:
-        setattr(run_stats, key, getattr(run_stats, key)
-                + inst_stats[key] - inst_stats_before[key])
-    sweep_stats = kernels.sweep_stats()
-    for key in sweep_stats:
-        setattr(run_stats, key, getattr(run_stats, key)
-                + sweep_stats[key] - sweep_stats_before[key])
     busy_stats = jobcache.busy_stats()
     for key in busy_stats:
         setattr(run_stats, key, getattr(run_stats, key)

@@ -87,8 +87,10 @@ class EngineConfig:
     ``cache_dir`` may be a directory path or a ready-made
     :class:`~repro.runner.jobcache.JobCache`; ``sink`` a
     :class:`~repro.runner.sinks.ResultSink` (``None`` collects rows in
-    memory); ``batch_size=None`` runs one batch; ``chunk_jobs=None``
-    auto-sizes fused dispatch (``1`` disables fusion).
+    memory); ``batch_size=None`` runs one batch; ``chunk_jobs`` is the
+    number of jobs fused into one worker task (``None`` auto-sizes;
+    the grid engine rounds it up to whole instances, so ``1`` gives one
+    instance per task).
 
     The fault-tolerance knobs: a failing job is retried up to
     ``max_retries`` times (deterministic exponential backoff starting
@@ -125,17 +127,18 @@ class RunStats:
     #: per-job cache hits / executed jobs (``run_grid``)
     job_hits: int = 0
     job_misses: int = 0
-    #: per-instance optimum cache hits / fresh solves (phase 1)
+    #: per-instance optimum cache hits / fresh solves
     opt_hits: int = 0
     opt_solved: int = 0
-    #: instances newly written to the store this run (phase 0)
+    #: instances newly written to the store this run
     inst_materialized: int = 0
-    #: instance-resolution deltas (see ``instancestore.build_stats``)
+    #: instance-resolution counts (see ``instancestore.build_stats``),
+    #: summed over every process that ran a grid task
     inst_builds: int = 0
     inst_loads: int = 0
     inst_memo_hits: int = 0
-    #: sweep-memo deltas (see ``kernels.sweep_stats``); parent-process
-    #: view, like the instance-resolution counters above
+    #: sweep-memo counts (see ``kernels.sweep_stats``), summed the
+    #: same way
     sweep_memo_hits: int = 0
     sweep_memo_misses: int = 0
     #: scheduler counters, maintained by :func:`run_pipeline`
@@ -160,7 +163,7 @@ class RunStats:
     pool_restarts: int = 0
     cache_put_failures: int = 0
     #: SQLITE_BUSY contention absorbed by ``jobcache.with_busy_retry``
-    #: (parent-process delta, like the sweep-memo counters above)
+    #: (a parent-process delta: only the parent touches the cache)
     sqlite_busy_retries: int = 0
 
     def merge_max(self, name: str, value: int) -> None:
@@ -173,9 +176,10 @@ def run_args(config, stats) -> tuple[EngineConfig, RunStats]:
 
     ``None`` selects the defaults (a fresh :class:`RunStats` when the
     caller does not collect counters).  Anything else that is not an
-    :class:`EngineConfig` / :class:`RunStats` raises :class:`TypeError`
-    — entry points call this first, so a wrong type fails before any
-    sink, cache or queue is opened.
+    :class:`EngineConfig` / :class:`RunStats` raises :class:`TypeError`,
+    and a ``chunk_jobs`` below 1 raises :class:`ValueError` — entry
+    points call this first, so a bad argument fails before any sink,
+    cache or queue is opened.
     """
     if config is None:
         config = EngineConfig()
@@ -187,6 +191,9 @@ def run_args(config, stats) -> tuple[EngineConfig, RunStats]:
     elif not isinstance(stats, RunStats):
         raise TypeError(f"stats must be a RunStats or None, "
                         f"got {type(stats).__name__}")
+    if config.chunk_jobs is not None and config.chunk_jobs < 1:
+        raise ValueError(f"chunk_jobs must be positive or None, "
+                         f"got {config.chunk_jobs!r}")
     return config, stats
 
 
@@ -204,7 +211,7 @@ _SLEEP = time.sleep
 class RetryPolicy:
     """How a failing job is retried before quarantine.
 
-    Picklable and carried inside the fused chunk payloads, so retries
+    Picklable and carried inside the engine's task payloads, so retries
     run *in the worker process that failed* — which keeps the
     per-process fault-injection counters (and therefore transient-fault
     chaos tests) deterministic.
@@ -275,7 +282,7 @@ def respawn_pool(generation: int) -> bool:
     """Retire the pool incarnation ``generation`` so the next
     submission forks a fresh one.  Returns ``True`` for the first
     caller to observe that generation's death; later callers (other
-    in-flight chunks of the same dead pool) get ``False`` and must not
+    in-flight tasks of the same dead pool) get ``False`` and must not
     count another restart."""
     global _POOL_GENERATION
     if generation != _POOL_GENERATION:
@@ -321,11 +328,11 @@ def parallel_map(fn, items, n_jobs: int = 1, chunksize: int | None = None):
 
     ``fn`` and the items must be picklable for ``n_jobs > 1`` (module
     -level functions and plain data).  The pool outlives the call — it
-    is reused by both engine phases, by every subsequent grid, and by
-    ``analysis/sweep`` and ``repro lowerbound`` — so pool startup is
-    amortized across the many small grids the benches run.  The
-    in-process path is a plain ``map`` so tests can monkeypatch ``fn``'s
-    module-level dependencies.
+    is reused by the engine's worker tasks, by every subsequent grid,
+    and by ``analysis/sweep`` and ``repro lowerbound`` — so pool
+    startup is amortized across the many small grids the benches run.
+    The in-process path is a plain ``map`` so tests can monkeypatch
+    ``fn``'s module-level dependencies.
     """
     items = list(items)
     if n_jobs <= 1 or len(items) <= 1:
@@ -347,25 +354,39 @@ def parallel_map(fn, items, n_jobs: int = 1, chunksize: int | None = None):
 # ----------------------------------------------------------------------
 
 
-def chunk_list(items, n_jobs: int, chunk_jobs: int | None) -> list[list]:
-    """Split ``items`` into contiguous chunks for fused dispatch.
+def chunk_list(items, n_jobs: int, chunk_jobs: int | None,
+               weight=None) -> list[list]:
+    """Split ``items`` into contiguous chunks of about ``chunk_jobs``
+    jobs for fused dispatch.
 
-    ``chunk_jobs=None`` auto-sizes: in-process everything fuses into
-    one chunk (maximal sharing, no IPC to amortize anyway); on the pool
-    roughly two chunks per worker balance round-trip amortization
-    against load balancing.  ``chunk_jobs=1`` disables fusion (the
-    pre-pipeline per-job dispatch).
+    ``weight(item)`` is the number of jobs an item carries (default 1);
+    a chunk closes once it holds ``chunk_jobs`` jobs, so chunks round
+    up to whole items.  ``chunk_jobs=None`` auto-sizes: in-process
+    everything fuses into one chunk (maximal sharing, no IPC to
+    amortize anyway); on the pool roughly two chunks per worker balance
+    round-trip amortization against load balancing.  ``chunk_jobs=1``
+    gives one item per chunk.
     """
     items = list(items)
-    if not items:
-        return []
+    weights = [1 if weight is None else weight(item) for item in items]
     if chunk_jobs is not None:
-        size = max(1, int(chunk_jobs))
+        size = chunk_jobs
     elif n_jobs <= 1:
-        size = len(items)
+        size = sum(weights)
     else:
-        size = max(1, -(-len(items) // (2 * n_jobs)))
-    return [items[i:i + size] for i in range(0, len(items), size)]
+        size = -(-sum(weights) // (2 * n_jobs))
+    chunks: list[list] = []
+    chunk: list = []
+    filled = 0
+    for item, w in zip(items, weights):
+        chunk.append(item)
+        filled += w
+        if filled >= size:
+            chunks.append(chunk)
+            chunk, filled = [], 0
+    if chunk:
+        chunks.append(chunk)
+    return chunks
 
 
 def iter_batches(iterable, size: int | None):

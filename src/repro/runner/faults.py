@@ -11,13 +11,14 @@ worker process dies) exactly where a real failure would.
 Sites (each fired with a token the ``match`` substring selects on):
 
 ===============  ====================================================
-``run_job``       one phase-2 algorithm job attempt (token: job coords)
-``solve_instance``one phase-1 optimum solve attempt (token: coords)
-``materialize``   one phase-0 instance store write (token: coords)
+``run_job``       one algorithm job attempt (token: job coords)
+``solve_instance``one optimum solve attempt (token: coords)
+``materialize``   one instance store write (token: coords)
 ``cache_put``     one job/optimum cache write (token: cache key)
 ``sink_write``    one sink batch flush (token: sink class name)
-``worker_exit``   one phase-2 chunk *start*, worker processes only —
-                  the process SIGKILLs itself (pool-crash injection)
+``worker_exit``   one engine worker task *start* (token: its first
+                  job's coords), worker processes only — the process
+                  SIGKILLs itself (pool-crash injection)
 ``sqlite_lock``   one SQLite cache-backend insert (token: cache key)
 ``queue_claim``   one lease-queue claim attempt (token: worker id)
 ``http_request``  one ServiceClient HTTP request (token: METHOD path)
@@ -28,7 +29,7 @@ Determinism: each process counts matching invocations per
 in a process and lets the in-process retry succeed — the canonical
 *transient* fault — while ``nth=None`` fails every attempt (a *poison*
 job).  Faults that must fire once **globally** (a worker crash would
-otherwise recur on the resubmitted chunk) set ``once=True`` with a
+otherwise recur on the resubmitted task) set ``once=True`` with a
 ``state_dir``: the first process to atomically create the marker file
 wins.
 

@@ -1,14 +1,11 @@
-"""Shared materialized-instance store — phase 0 of the engine.
+"""Shared materialized-instance store and the per-process instance memo.
 
 Building a scenario instance means tabulating its ``(T, m+1)`` cost
 matrix (for the trace families one whole-table broadcast,
-:func:`repro.core.costs.tabulate_energy_delay`); before this layer
-every engine worker re-paid that for every job (phase 1 *and* phase
-2), so a grid with ``A`` algorithms tabulated the same matrix ``A + 1``
-times.  The store
+:func:`repro.core.costs.tabulate_energy_delay`).  The store
 materializes each distinct ``(scenario, pipeline, T, inst_seed)``
-instance exactly once and persists its dense payload as content-addressed
-``.npy`` files:
+instance exactly once and persists its dense payload as
+content-addressed ``.npy`` files:
 
 * ``general`` — the ``F`` cost matrix (+ ``beta``);
 * ``restricted`` — the load trace and the masked feasible-cost table of
@@ -16,19 +13,20 @@ instance exactly once and persists its dense payload as content-addressed
   ``beta``);
 * ``hetero`` — the ``(T, m1+1, m2+1)`` cost tensor (+ both betas).
 
-Workers reopen payloads with ``np.load(..., mmap_mode="r")``, so phase-1
-and phase-2 jobs (and every process of the persistent pool) share
-read-only pages instead of re-tabulating — rebuild cost is paid once per
-store, not once per job.
+The engine's worker task materializes an instance before solving it;
+the solve, the instance's jobs and every later grid sharing the store
+then reopen the payload with ``np.load(..., mmap_mode="r")``, so every
+process of the persistent pool shares read-only pages instead of
+re-tabulating — rebuild cost is paid once per store, not once per job
+or per run.
 
 Independently of any store, :func:`get_instance` keeps a small
 per-process memo (8 instances by default) and counts actual scenario
 builds in a per-process stats dict — the ``inst_builds`` counter
-:func:`repro.runner.run_grid` reports.  The memo spares rebuilds only
-while a chunk holds at most that many distinct instances: a larger
-chunk's phase-1 solves, phase-2 shared replays and phase-2 solo jobs
-each rebuild every instance, three builds per instance.  Only the
-store makes builds exactly once.
+:func:`repro.runner.run_grid` sums over its tasks.  One engine task
+handles an instance's solve and jobs back to back, so the memo only
+has to hold the instance in hand: builds stay exactly once per
+instance per run, with or without a store.
 
 Payloads reconstruct bit-identically (``np.save`` round-trips float64
 exactly), so rows computed through the store match the rebuild path and
@@ -219,7 +217,7 @@ class InstanceStore:
             return None
 
     def materialize(self, coords: tuple) -> bool:
-        """Phase-0 step: build and persist ``coords`` unless present.
+        """Build and persist ``coords`` unless present.
         Returns whether a payload was newly written (``False`` also for
         payload-free instances, e.g. adaptive games)."""
         if self.has(coords):
@@ -247,26 +245,6 @@ def _build_coords(coords: tuple):
     scenario, pipeline, T, inst_seed, params = split_coords(coords)
     return build_instance(scenario, T, inst_seed, pipeline=pipeline,
                           params=_json.loads(params) if params else None)
-
-
-def _materialize_chunk(task: tuple) -> list[bool]:
-    """Fused phase-0 job: materialize several instances in one worker
-    round-trip, reusing one :class:`InstanceStore` handle (the engine's
-    chunked dispatch amortizes pickle/IPC across the chunk).
-
-    Materialization is best-effort by contract — phases 1/2 rebuild any
-    instance the store lacks — so a failing (or fault-injected) item is
-    absorbed as ``False`` instead of aborting the chunk or, on the
-    ``n_jobs=1`` inline path, the grid."""
-    coords_list, root = task
-    store = InstanceStore(root)
-    written = []
-    for coords in coords_list:
-        try:
-            written.append(store.materialize(coords))
-        except Exception:
-            written.append(False)
-    return written
 
 
 # ----------------------------------------------------------------------

@@ -312,6 +312,12 @@ class LeaseQueue:
             "SELECT grid_id FROM grids ORDER BY created, grid_id")
         return [r[0] for r in rows.fetchall()]
 
+    def has_grid(self, grid_id: str) -> bool:
+        """Whether ``grid_id`` is queued (a primary-key point lookup)."""
+        return self._conn.execute(
+            "SELECT 1 FROM grids WHERE grid_id = ?",
+            (grid_id,)).fetchone() is not None
+
     def _grid_row(self, grid_id: str):
         row = self._conn.execute(
             "SELECT spec, total FROM grids WHERE grid_id = ?",

@@ -421,11 +421,11 @@ for _spec in (
 
 
 #: per pipeline, the registry entry whose solver *is* the engine's
-#: phase-1 optimum computation — re-running it in phase 2 would repeat
-#: the identical call on the identical instance, so its cost is the
-#: optimum by construction (the general pipeline is deliberately absent:
-#: its exact solvers — binary_search, graph, ... — are *different*
-#: algorithms from the phase-1 DP and cross-validate it)
+#: per-instance optimum computation — re-running it as a job would
+#: repeat the identical call on the identical instance, so its cost is
+#: the optimum by construction (the general pipeline is deliberately
+#: absent: its exact solvers — binary_search, graph, ... — are
+#: *different* algorithms from the optimum's DP and cross-validate it)
 _PIPELINE_OPTIMA = {"restricted": "restricted", "hetero": "dp_hetero"}
 
 

@@ -64,8 +64,8 @@ class Scenario:
     axis (e.g. the adversary slope ``eps``, the case study's ``beta``);
     builders declare them with defaults so the scenario also builds with
     no parameters.  ``storable=False`` marks scenarios whose instances
-    have no dense payload (adaptive games) so the engine skips phase-0
-    materialization for them.
+    have no dense payload (adaptive games) so the engine never writes
+    them to an instance store.
     """
 
     name: str

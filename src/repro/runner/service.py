@@ -338,7 +338,7 @@ class GridService:
         grid_id = spec.cache_key()
         with self._lock:
             queue = self._queue
-            if grid_id in queue.grids():
+            if queue.has_grid(grid_id):
                 # the digest is the id: a resubmit (client retry,
                 # duplicate POST) never re-probes or re-enqueues
                 counts = queue.counts(grid_id)

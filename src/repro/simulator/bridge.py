@@ -161,10 +161,10 @@ class SimulatorGame:
                               latency_weight=self.latency_weight)
 
     def baseline(self) -> dict:
-        """Phase-1 record: simulated cost (and switching count) of the
+        """Optimum record: simulated cost (and switching count) of the
         optimal schedule.  The extra keys beyond opt/m/beta become the
         `sim-opt` row's columns — the engine synthesizes that row from
-        this record instead of re-running the DP in phase 2."""
+        this record instead of re-running the DP for the job."""
         from ..offline import solve_dp
         sched = solve_dp(self.instance()).schedule
         changes = int(np.count_nonzero(np.diff(

@@ -249,7 +249,7 @@ class TestInfrastructureFaults:
             fault_plan=plan_of(
                 FaultSpec(site="materialize", nth=None)),
             **FAST))
-        assert rows == clean  # phases 1/2 rebuilt in-process
+        assert rows == clean  # the tasks rebuilt the instances
 
     def test_sink_write_failure_stays_fatal(self):
         with pytest.raises(InjectedFault):
@@ -272,6 +272,38 @@ class TestPoolCrashRecovery:
             **FAST), stats=stats)
         assert rows == clean
         assert stats.pool_restarts >= 1 and stats.quarantined == 0
+
+    def test_task_submitted_while_pool_dies_is_resubmitted(self,
+                                                           monkeypatch):
+        """A submit racing the pool's death can land after the pool
+        failed its pending work, leaving a future that never finishes;
+        once the pool is retired the engine must resubmit that task
+        instead of waiting on it forever."""
+        import threading
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+        clean = run_grid(GRID)
+        real_submit = engine_mod.submit_task
+        broken, lost = Future(), Future()
+        broken.set_exception(BrokenProcessPool("a worker died"))
+        fakes = [broken, lost]
+
+        def submit(fn, arg, n_jobs):
+            return fakes.pop(0) if fakes else real_submit(fn, arg, n_jobs)
+
+        monkeypatch.setattr(engine_mod, "submit_task", submit)
+        # fail instead of hanging if the lost task is never resubmitted
+        watchdog = threading.Timer(10.0, lost.set_exception, args=(
+            RuntimeError("lost task was never resubmitted"),))
+        watchdog.start()
+        try:
+            stats = RunStats()
+            rows = run_grid(GRID, EngineConfig(n_jobs=2, **FAST),
+                            stats=stats)
+        finally:
+            watchdog.cancel()
+        assert rows == clean
+        assert stats.pool_restarts == 1
 
     def test_crash_loop_is_bounded(self, tmp_path):
         with pytest.raises(RuntimeError, match="giving up"):

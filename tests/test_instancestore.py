@@ -158,7 +158,7 @@ class TestRunGridWithStore:
         # 2 scenarios x 2 seeds = 4 distinct instances; 12 jobs
         assert stats.inst_materialized == 4
         assert stats.inst_builds == 4
-        assert stats.inst_loads == 4   # phase 1 mmap-loads each once
+        assert stats.inst_loads == 4   # each solve mmap-loads it once
         # a second run (fresh memo) never builds again
         instancestore.clear_memo()
         stats2 = RunStats()

@@ -1,19 +1,16 @@
-"""Scalar vs vectorized vs batched kernel equivalence.
+"""Scalar vs vectorized kernel equivalence.
 
 The contract (docs/KERNELS.md): the vectorized whole-table kernels are
 **bit-identical** to the per-step scalar reference — same bound
 trajectories, same optimum float, same replayed schedules and costs —
 for every sweep-sharing algorithm, the backward solver, and whole
-engine grids across pipelines.  The batched kernel extends the
-contract per slice: every lane of a stacked sweep equals the vector
-kernel on that instance alone.
+engine grids across pipelines.
 """
 
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.kernels import batched as batched_kernel
 from repro.kernels import scalar as scalar_kernel
 from repro.kernels import vectorized as vector_kernel
 from repro.offline import solve_backward_lcp, solve_dp
@@ -65,7 +62,7 @@ class TestSweepEquivalence:
 
     def test_opt_is_dp_optimum_bitwise(self):
         """The final work-function row's minimum *is* the Section 2 DP
-        optimum — the identity the engine's phase 1 relies on."""
+        optimum — the identity the engine's optimum solve relies on."""
         for scenario, T, seed in (("diurnal", 96, 0), ("onoff", 200, 4)):
             inst = build_instance(scenario, T, seed)
             dp = solve_dp(inst, return_schedule=False).cost
@@ -120,115 +117,26 @@ class TestDispatch:
 
 
 class TestBatchedKernel:
-    """Per-slice bit-identity of the stacked sweep and the grouping
-    behavior of ``cached_sweep_many`` (the engine's prefetch seam)."""
-
-    @pytest.mark.parametrize("B", [1, 2, 3, 5, 7])
-    def test_slices_match_vector_kernel(self, B):
-        rng = np.random.default_rng(B)
-        T, m = int(rng.integers(1, 60)), int(rng.integers(0, 9))
-        stack = rng.uniform(0.0, 10.0, size=(B, T, m + 1))
-        betas = [float(b) for b in rng.uniform(0.2, 6.0, size=B)]
-        many = batched_kernel.sweep_workfunction_many(stack, betas)
-        assert len(many) == B
-        for b in range(B):
-            single = vector_kernel.sweep_workfunction(stack[b], betas[b])
-            assert np.array_equal(many[b].lo, single.lo)
-            assert np.array_equal(many[b].hi, single.hi)
-            assert many[b].opt == single.opt  # bitwise, no tolerance
-
-    def test_empty_stack_and_empty_horizon(self):
-        assert batched_kernel.sweep_workfunction_many(
-            np.zeros((0, 5, 3)), []) == []
-        many = batched_kernel.sweep_workfunction_many(
-            np.zeros((4, 0, 3)), [1.0] * 4)
-        assert len(many) == 4
-        assert all(s.lo.size == 0 and s.opt == 0.0 for s in many)
-
-    def test_shape_and_beta_validation(self):
-        with pytest.raises(ValueError):
-            batched_kernel.sweep_workfunction_many(np.zeros((5, 3)), [1.0])
-        with pytest.raises(ValueError):
-            batched_kernel.sweep_workfunction_many(np.zeros((2, 5, 3)),
-                                                   [1.0])
-
-    def test_sweep_many_dispatch_agrees_across_kernels(self):
-        rng = np.random.default_rng(11)
-        stack = rng.uniform(0.0, 10.0, size=(3, 20, 6))
-        betas = [1.0, 2.5, 0.7]
-        results = {}
-        for name in kernels.KERNELS:
-            with kernels.use(name):
-                results[name] = kernels.sweep_workfunction_many(stack,
-                                                                betas)
-        for b in range(3):
-            for name in ("vector", "batched"):
-                assert np.array_equal(results[name][b].lo,
-                                      results["scalar"][b].lo)
-                assert np.array_equal(results[name][b].hi,
-                                      results["scalar"][b].hi)
-                assert results[name][b].opt == results["scalar"][b].opt
-
-    def test_cached_sweep_many_groups_by_shape(self, monkeypatch):
-        """Same-shape misses run as one stacked launch; ragged shapes
-        and singletons fall back to per-instance sweeps."""
-        launches, singles = [], []
-        real_many = batched_kernel.sweep_workfunction_many
-        real_one = vector_kernel.sweep_workfunction
-        monkeypatch.setattr(
-            batched_kernel, "sweep_workfunction_many",
-            lambda costs, betas: launches.append(len(betas))
-            or real_many(costs, betas))
-        monkeypatch.setattr(
-            vector_kernel, "sweep_workfunction",
-            lambda costs, beta: singles.append(1) or real_one(costs, beta))
-        rng = np.random.default_rng(3)
-        big = [rng.uniform(0, 10, size=(18, 5)) for _ in range(3)]
-        odd = rng.uniform(0, 10, size=(11, 7))
-        items = [(("i", k), tab, 1.5) for k, tab in enumerate(big)]
-        items.append((("i", 99), odd, 2.0))
-        items.append((("i", 0), big[0], 1.5))  # duplicate key
-        kernels.clear_sweep_cache()
-        with kernels.use("batched"):
-            out = kernels.cached_sweep_many(items)
-        assert launches == [3]       # one stacked launch for the trio
-        assert sum(singles) == 1     # the odd shape went alone
-        assert out[4] is out[0]      # duplicate key shares one sweep
-        for k, tab in enumerate(big):
-            ref = real_one(tab, 1.5)
-            assert out[k].opt == ref.opt
-            assert np.array_equal(out[k].lo, ref.lo)
-        with kernels.use("batched"):
-            again = kernels.cached_sweep(("i", 1), big[1], 1.5)
-        assert again is out[1]       # the batch seeded the memo
-        kernels.clear_sweep_cache()
-
-    def test_cached_sweep_many_scalar_fallback(self):
-        rng = np.random.default_rng(5)
-        items = [(("s", k), rng.uniform(0, 10, size=(9, 4)), 1.0)
-                 for k in range(3)]
-        kernels.clear_sweep_cache()
-        with kernels.use("scalar"):
-            out = kernels.cached_sweep_many(items)
-        for k in range(3):
-            ref = scalar_kernel.sweep_workfunction(items[k][1], 1.0)
-            assert out[k].opt == ref.opt
-            assert np.array_equal(out[k].lo, ref.lo)
-        kernels.clear_sweep_cache()
+    """The per-process sweep memo: LRU eviction and hit/miss counters
+    (the class keeps its historical name so the test ids stay put)."""
 
     def test_memo_evicts_least_recent_past_capacity(self, monkeypatch):
         monkeypatch.setattr(kernels, "_SWEEP_CACHE_SIZE", 2)
         kernels.clear_sweep_cache()
         tab = np.ones((6, 4))
+
+        def memoized(key):
+            return ("vector", key) in kernels._SWEEP_CACHE
+
         with kernels.use("vector"):
             for k in range(3):
                 kernels.cached_sweep(("m", k), tab, 1.0)
-            assert kernels.peek_sweep(("m", 0), touch=False) is None
+            assert not memoized(("m", 0))
             kernels.cached_sweep(("m", 1), tab, 1.0)   # refresh 1
             kernels.cached_sweep(("m", 3), tab, 1.0)   # evicts 2
-            assert kernels.peek_sweep(("m", 1), touch=False) is not None
-            assert kernels.peek_sweep(("m", 2), touch=False) is None
-            assert kernels.peek_sweep(("m", 3), touch=False) is not None
+            assert memoized(("m", 1))
+            assert not memoized(("m", 2))
+            assert memoized(("m", 3))
         kernels.clear_sweep_cache()
 
     def test_sweep_stats_count_hits_and_misses(self):
@@ -238,8 +146,8 @@ class TestBatchedKernel:
         with kernels.use("vector"):
             kernels.cached_sweep(("st", 0), tab, 1.0)
             kernels.cached_sweep(("st", 0), tab, 1.0)
-            kernels.cached_sweep_many([(("st", 0), tab, 1.0),
-                                       (("st", 1), tab, 1.0)])
+            kernels.cached_sweep(("st", 0), tab, 1.0)
+            kernels.cached_sweep(("st", 1), tab, 1.0)
         after = kernels.sweep_stats()
         assert after["sweep_memo_misses"] - before["sweep_memo_misses"] == 2
         assert after["sweep_memo_hits"] - before["sweep_memo_hits"] == 2
@@ -282,12 +190,10 @@ class TestReplayEquivalence:
             with kernels.use(kernel):
                 results[kernel] = run_online_many(
                     inst, [get_spec(n).make() for n in names])
-        for kernel in ("vector", "batched"):
-            for name, s, v in zip(names, results["scalar"],
-                                  results[kernel]):
-                assert v.cost == s.cost, (kernel, name)
-                assert np.array_equal(v.schedule, s.schedule), (kernel,
-                                                                name)
+        for name, s, v in zip(names, results["scalar"],
+                              results["vector"]):
+            assert v.cost == s.cost, name
+            assert np.array_equal(v.schedule, s.schedule), name
 
     def test_lookahead_consumer_falls_back_identically(self):
         from repro.online import LCP
@@ -297,10 +203,9 @@ class TestReplayEquivalence:
             with kernels.use(kernel):
                 outs[kernel] = run_online_many(
                     inst, [LCP(lookahead=3), LCP()])
-        for kernel in ("vector", "batched"):
-            for s, v in zip(outs["scalar"], outs[kernel]):
-                assert v.cost == s.cost
-                assert np.array_equal(v.schedule, s.schedule)
+        for s, v in zip(outs["scalar"], outs["vector"]):
+            assert v.cost == s.cost
+            assert np.array_equal(v.schedule, s.schedule)
 
     def test_lcp_bounds_log_matches_kernel_trajectory(self):
         """Protocol-level equality at the replay seam: the per-step
@@ -327,10 +232,9 @@ class TestBackwardSolver:
             for kernel in kernels.KERNELS:
                 with kernels.use(kernel):
                     outs[kernel] = solve_backward_lcp(inst)
-            for kernel in ("vector", "batched"):
-                assert outs[kernel].cost == outs["scalar"].cost
-                assert np.array_equal(outs[kernel].schedule,
-                                      outs["scalar"].schedule)
+            assert outs["vector"].cost == outs["scalar"].cost
+            assert np.array_equal(outs["vector"].schedule,
+                                  outs["scalar"].schedule)
 
     def test_precomputed_bounds_short_circuit(self):
         inst = build_instance("diurnal", 48, 0)
@@ -351,7 +255,7 @@ class TestBackwardSolver:
 
 class TestRestrictedKernels:
     """The restricted solver's forward/backward passes ride the kernel
-    dispatch: scalar, vector and batched must agree bitwise on cost
+    dispatch: scalar and vector must agree bitwise on cost
     *and* schedule, including the feasibility-tolerance edge cases."""
 
     def _instances(self):
@@ -387,10 +291,9 @@ class TestRestrictedKernels:
             for name in kernels.KERNELS:
                 with kernels.use(name):
                     outs[name] = solve_restricted(ri)
-            for name in ("vector", "batched"):
-                assert outs[name].cost == outs["scalar"].cost, (k, name)
-                assert np.array_equal(outs[name].schedule,
-                                      outs["scalar"].schedule), (k, name)
+            assert outs["vector"].cost == outs["scalar"].cost, k
+            assert np.array_equal(outs["vector"].schedule,
+                                  outs["scalar"].schedule), k
             floors = np.maximum(np.ceil(np.asarray(ri.loads) - 1e-12), 0)
             assert (outs["scalar"].schedule >= floors).all(), k
 
@@ -471,12 +374,11 @@ class TestEngineGrids:
                 rows[kernel] = run_grid(spec)
         kernels.clear_sweep_cache()
         assert rows["vector"] == rows["scalar"]
-        assert rows["batched"] == rows["scalar"]
 
-    def test_batched_grid_multi_seed_multi_size(self):
-        """Co-batched instances of mixed (T, m) shapes: same-shape
-        groups stack, ragged ones fall back — rows stay bit-identical
-        to the scalar reference, serial and parallel alike."""
+    def test_grid_multi_seed_multi_size(self):
+        """Instances of mixed (T, m) shapes in one grid: rows stay
+        bit-identical to the scalar reference, serial and parallel
+        alike."""
         spec = GridSpec(
             scenarios=("diurnal",),
             algorithms=("lcp", "eager-lcp", "backward_lcp", "threshold",
@@ -488,38 +390,11 @@ class TestEngineGrids:
             with kernels.use(kernel):
                 rows[kernel] = run_grid(spec)
         kernels.clear_sweep_cache()
-        with kernels.use("batched"):
+        with kernels.use("vector"):
             parallel = run_grid(spec, config=EngineConfig(n_jobs=2))
         kernels.clear_sweep_cache()
-        assert rows["batched"] == rows["scalar"]
         assert rows["vector"] == rows["scalar"]
         assert parallel == rows["scalar"]
-
-    def test_batched_grid_launches_one_stacked_sweep(self, monkeypatch):
-        """Under REPRO_KERNEL=batched the fused phase-1 chunk sweeps
-        all same-shape co-scheduled instances in one stacked launch;
-        every later consumer (phase-1 optimum, shared replay, backward
-        solver) hits the memo — no single-instance sweep runs at all."""
-        launches, singles = [], []
-        real_many = batched_kernel.sweep_workfunction_many
-        real_one = vector_kernel.sweep_workfunction
-        monkeypatch.setattr(
-            batched_kernel, "sweep_workfunction_many",
-            lambda costs, betas: launches.append(len(betas))
-            or real_many(costs, betas))
-        monkeypatch.setattr(
-            vector_kernel, "sweep_workfunction",
-            lambda costs, beta: singles.append(1) or real_one(costs, beta))
-        spec = GridSpec(scenarios=("diurnal",),
-                        algorithms=("lcp", "eager-lcp", "backward_lcp"),
-                        seeds=(0, 1), sizes=(24,))
-        kernels.clear_sweep_cache()
-        with kernels.use("batched"):
-            rows = run_grid(spec)
-        kernels.clear_sweep_cache()
-        assert len(rows) == 6
-        assert launches == [2]  # two same-shape instances, one launch
-        assert sum(singles) == 0
 
     def test_grid_stats_surface_sweep_memo_counters(self):
         spec = GridSpec(scenarios=("diurnal",),
@@ -527,16 +402,16 @@ class TestEngineGrids:
                         seeds=(0, 1), sizes=(24,))
         stats = RunStats()
         kernels.clear_sweep_cache()
-        with kernels.use("batched"):
+        with kernels.use("vector"):
             run_grid(spec, stats=stats)
         kernels.clear_sweep_cache()
         assert stats.sweep_memo_misses == 2   # one per instance
-        # phase-1 optimum + phase-2 shared replay hit per instance
-        assert stats.sweep_memo_hits >= 4
+        # the optimum's sweep is reused by each instance's shared replay
+        assert stats.sweep_memo_hits == 2
 
     def test_fused_chunks_share_one_sweep_with_backward(self):
-        """With the vectorized kernel, a fused chunk serves the LCP
-        family, the backward solver *and* the phase-1 optimum from a
+        """With the vectorized kernel, a worker task serves the LCP
+        family, the backward solver *and* the instance's optimum from a
         single memoized sweep per instance."""
         calls = 0
         real = vector_kernel.sweep_workfunction

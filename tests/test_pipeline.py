@@ -236,34 +236,6 @@ class TestSharedReplay:
 
 
 class TestPromiseRace:
-    def test_owner_harvest_survives_borrower_preresolution(self,
-                                                           monkeypatch):
-        """A borrowing batch may resolve a shared solve promise before
-        the owning batch's poll; the owner must still do its own
-        bookkeeping (records/window/cache/opt_solved), not crash.
-
-        The interleaving is forced deterministically: the promise
-        reports not-ready for the owner's first polls, so the borrower
-        (admitted meanwhile) resolves it first.
-        """
-        real_ready = engine_mod._Promise.ready
-        calls = {"n": 0}
-
-        def laggy_ready(self):
-            calls["n"] += 1
-            return False if calls["n"] <= 3 else real_ready(self)
-
-        monkeypatch.setattr(engine_mod._Promise, "ready", laggy_ready)
-        spec = GridSpec(scenarios=("diurnal",),
-                        algorithms=("lcp", "eager-lcp"),
-                        seeds=(0,), sizes=(16,))
-        stats = RunStats()
-        rows = run_grid(spec, EngineConfig(batch_size=1, pipeline_depth=2),
-                        stats=stats)
-        monkeypatch.setattr(engine_mod._Promise, "ready", real_ready)
-        assert rows == run_grid(spec)
-        assert stats.opt_solved == 1  # owner counted it exactly once
-
     def test_overlapping_batches_materialize_each_instance_once(
             self, tmp_path):
         """Phase-0 dedup covers instances whose *optimum* was a cache
@@ -295,7 +267,7 @@ class TestPromiseRace:
 
         The loss window — head batches completing in the same pump
         pass that surfaces the error — is forced deterministically: the
-        head's phase-2 future hides its completion until the failing
+        head's task future hides its completion until the failing
         batch has been admitted.
         """
         from concurrent.futures import Future
@@ -308,31 +280,29 @@ class TestPromiseRace:
         real_submit = engine_mod.submit_task
 
         def fake_submit(fn, arg, n_jobs):
-            if fn is engine_mod._run_chunk_retry:
-                tasks, _policy = arg
-                algorithms = {job[1] for job, _r, _s in tasks}
-                if "memoryless" in algorithms:
+            if fn is engine_mod._run_instances:
+                groups, _store_root, _policy = arg
+                seeds = {job[4] for _c, _r, jobs in groups for job in jobs}
+                if 2 in seeds:
                     state["release"] = True
                     future: Future = Future()
                     future.set_exception(RuntimeError("worker died"))
                     return future
-                if "lcp" in algorithms:
+                if 0 in seeds:
                     future = GatedFuture()
-                    future.set_result(engine_mod._run_chunk_retry(arg))
+                    future.set_result(engine_mod._run_instances(arg))
                     return future
             return real_submit(fn, arg, n_jobs)
 
         monkeypatch.setattr(engine_mod, "submit_task", fake_submit)
-        spec = GridSpec(scenarios=("diurnal",),
-                        algorithms=("lcp", "threshold", "memoryless"),
-                        seeds=(0,), sizes=(16,))
+        spec = GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                        seeds=(0, 1, 2), sizes=(16,))
         sink = ListSink()
         with pytest.raises(RuntimeError, match="worker died"):
             run_grid(spec,
                      EngineConfig(batch_size=1, pipeline_depth=3, sink=sink))
-        # lcp and threshold completed before the error: still flushed
-        assert [r["algorithm"] for r in sink.rows] == ["lcp",
-                                                       "threshold"]
+        # seeds 0 and 1 completed before the error: still flushed
+        assert [r["seed"] for r in sink.rows] == [0, 1]
 
     def test_sink_failure_stops_all_flushing(self, tmp_path):
         """When the *sink* is what failed, the drain must not keep
@@ -359,6 +329,36 @@ class TestPromiseRace:
         shutdown_pool()
 
 
+class TestExactlyOnce:
+    """Without a store, each instance is built once, swept once and
+    solved once per run — in-process and summed across pool workers."""
+
+    def test_hundred_instances_each_built_swept_solved_once(self):
+        from repro import kernels
+        from repro.runner.instancestore import clear_memo
+        # seeds no other test uses, so no memo can hold these instances
+        spec = GridSpec(scenarios=("diurnal", "bursty"),
+                        algorithms=("lcp", "eager-lcp", "backward_lcp",
+                                    "threshold"),
+                        seeds=tuple(range(9100, 9150)), sizes=(24,))
+        n_instances = 100
+        rows = {}
+        for n_jobs in (1, 2):
+            # forked workers inherit the parent's memos: empty them
+            # before the pool starts
+            shutdown_pool()
+            clear_memo()
+            kernels.clear_sweep_cache()
+            stats = RunStats()
+            rows[n_jobs] = run_grid(spec, EngineConfig(n_jobs=n_jobs),
+                                    stats=stats)
+            assert stats.inst_builds == n_instances, n_jobs
+            assert stats.sweep_memo_misses == n_instances, n_jobs
+            assert stats.opt_solved == n_instances, n_jobs
+        shutdown_pool()
+        assert rows[1] == rows[2]
+
+
 class TestBatchValidation:
     def test_bad_batch_size_raises_before_consuming_iterator(self):
         consumed = []
@@ -381,6 +381,25 @@ class TestBatchValidation:
         sink = Sink()
         with pytest.raises(ValueError, match="batch_size"):
             run_grid(GRID, EngineConfig(batch_size=-2, sink=sink))
+        assert not sink.opened
+
+    def test_nonpositive_chunk_jobs_raises_before_sink_opens(self):
+        from repro.analysis import sweep
+        from tests.test_runner import _measure
+
+        class Sink(ListSink):
+            opened = False
+
+            def open(self, meta=None):
+                self.opened = True
+
+        sink = Sink()
+        with pytest.raises(ValueError, match="chunk_jobs"):
+            run_grid(GRID, EngineConfig(chunk_jobs=0, sink=sink))
+        assert not sink.opened
+        with pytest.raises(ValueError, match="chunk_jobs"):
+            sweep(_measure, {"T": [2], "m": [3]},
+                  EngineConfig(chunk_jobs=-3, sink=sink))
         assert not sink.opened
 
 

@@ -203,8 +203,8 @@ class TestEngine:
         assert len(set(solves)) == 4
 
     def test_hoisted_opt_matches_per_job_recompute(self):
-        """The phase-1 hoisted optimum equals what each job would have
-        computed for itself (the pre-two-phase behavior)."""
+        """The hoisted per-instance optimum equals what each job would
+        have computed for itself (the pre-hoisting behavior)."""
         from repro.analysis import optimal_cost
         rows = run_grid(GridSpec(scenarios=("diurnal", "bursty"),
                                  algorithms=("lcp", "followmin"),
@@ -297,8 +297,8 @@ class TestPipelines:
                 == run_grid(spec, EngineConfig(n_jobs=4)))
 
     def test_pipeline_opt_solver_not_resolved_twice(self, monkeypatch):
-        """The solver that defines a pipeline's optimum runs once, in
-        phase 1 — its phase-2 job reuses the hoisted value."""
+        """The solver that defines a pipeline's optimum runs once, for
+        the instance's optimum — its own job reuses the hoisted value."""
         import repro.extensions
         calls = []
         real = repro.extensions.solve_dp_hetero
@@ -308,7 +308,7 @@ class TestPipelines:
                                  algorithms=("dp_hetero",
                                              "greedy_hetero"),
                                  seeds=(0,), sizes=(12,)))
-        assert len(calls) == 1  # phase 1 only, not again for the job
+        assert len(calls) == 1  # the optimum only, not again for the job
         assert rows[0]["algorithm"] == "dp_hetero"
         assert rows[0]["cost"] == rows[0]["opt"] and rows[0]["ratio"] == 1.0
         assert rows[1]["ratio"] >= 1.0 - 1e-9
@@ -404,7 +404,7 @@ class TestJobCache:
         assert path.exists()
         path.write_text("{not json")
         stats = RunStats()
-        # force job misses so phase 1 runs again; the damaged instance
+        # force job misses so the optima are needed again; the damaged
         # record is re-solved, the healthy one is reused
         rows = run_grid(SMALL, EngineConfig(cache_dir=tmp_path, force=True),
                         stats=stats)

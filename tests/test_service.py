@@ -107,6 +107,22 @@ class TestRouting:
         assert payload["enqueued"] == 0
         assert queue.counts(SMALL.cache_key()) == before
 
+    def test_resubmit_check_is_a_point_lookup(self, tmp_path,
+                                               make_service, monkeypatch):
+        """Telling a resubmit from a new grid must not list every
+        queued grid (a cost that grows with the service's history)."""
+        def listing(self):
+            raise AssertionError("submit listed every queued grid")
+
+        monkeypatch.setattr(LeaseQueue, "grids", listing)
+        service = make_service(tmp_path / "q")
+        status, payload, _ = service.handle("POST", "/grids",
+                                            SMALL.to_dict())
+        assert status == 202 and not payload["resubmitted"]
+        status, payload, _ = service.handle("POST", "/grids",
+                                            SMALL.to_dict())
+        assert status == 200 and payload["resubmitted"]
+
     def test_client_errors_are_envelopes_never_500(
             self, tmp_path, make_service):
         service = make_service(tmp_path / "q")
