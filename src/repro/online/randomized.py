@@ -205,6 +205,39 @@ class RandomizedRounding(OnlineAlgorithm):
         self._set_state(x)
         return x
 
+    def run_table(self, F: np.ndarray):
+        """Whole-trajectory rounding over the inner fast path.
+
+        Takes ``x-bar`` from the inner algorithm's own ``run_table``
+        and draws every uniform at once: for PCG64 ``rng.random(T)``
+        yields the same doubles, and leaves the same generator state,
+        as ``T`` scalar ``random()`` calls.  The rounding chain itself
+        stays a scalar loop through :func:`transition_prob_up`, so the
+        schedule, :attr:`fractional_log` and the final state are those
+        of stepping :meth:`step` row by row.  Declines — before
+        touching any state or the generator — under a prediction
+        window or when the inner algorithm declines.
+        """
+        if self.lookahead > 0:
+            return None
+        xbars = self._inner.run_table(F)
+        if xbars is None:
+            return None
+        log = np.asarray(xbars, dtype=np.float64).tolist()
+        draws = self._rng.random(len(log)).tolist()
+        out = np.empty(len(log), dtype=np.int64)
+        xbar_prev, x = self._xbar_prev, self.state
+        for t, (xbar, u) in enumerate(zip(log, draws)):
+            p = transition_prob_up(xbar_prev, xbar, x)
+            lower = int(np.floor(_snap(xbar)))
+            x = lower + 1 if u < p else lower
+            out[t] = x
+            xbar_prev = xbar
+        self.fractional_log.extend(log)
+        self._xbar_prev = xbar_prev
+        self._set_state(x)
+        return out
+
 
 @dataclasses.dataclass(frozen=True)
 class RoundingDistribution:

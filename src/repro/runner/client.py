@@ -22,15 +22,25 @@ What retries, what doesn't:
 Retrying a submit is always safe: the grid's id is its content digest
 and the server treats a known digest as a no-op, so a duplicated POST
 (response lost, client retried) can never double-enqueue work.
+
+Connections: a client owns one persistent HTTP/1.1
+:class:`http.client.HTTPConnection`, opened on its first request and
+used under a lock by every request after it, until the server answers
+``Connection: close``, an exchange fails or :meth:`ServiceClient.close`
+runs (use the client as a context manager).  A kept-alive connection
+the server has already closed (between requests, e.g. after its idle
+timeout) is reopened and the request resent once within the same
+attempt — no backoff, no retry counted; the same idempotency makes
+the resend safe.  Any other transport error discards the connection,
+so a half-read reply is never parsed as the next one.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 
 from . import faults
 from .executor import RetryPolicy, backoff_delay
@@ -57,21 +67,22 @@ class ServiceUnavailable(RuntimeError):
     """Every attempt (initial + retries) failed transiently."""
 
 
-def _default_transport(method: str, url: str, body, timeout: float):
-    """One real HTTP exchange via :mod:`urllib.request`; returns
-    ``(status, raw_bytes)``.  HTTP error statuses are returned, not
-    raised — the retry loop decides what is retryable."""
-    data = None if body is None else json.dumps(
-        body, sort_keys=True).encode()
-    headers = {"Content-Type": "application/json"} if data else {}
-    req = urllib.request.Request(url, data=data, method=method,
-                                 headers=headers)
+#: what a kept-alive connection the server closed between requests
+#: raises before any response byte arrives (``RemoteDisconnected`` is
+#: a ``ConnectionResetError``)
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+
+def _send(conn: http.client.HTTPConnection, method: str, target: str,
+          data, headers: dict) -> http.client.HTTPResponse:
+    """Send one request on ``conn`` (reconnecting if it is closed) and
+    read the response head; any failure closes ``conn``."""
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        with exc:
-            return exc.code, exc.read()
+        conn.request(method, target, body=data, headers=headers)
+        return conn.getresponse()
+    except BaseException:
+        conn.close()
+        raise
 
 
 class ServiceClient:
@@ -81,7 +92,8 @@ class ServiceClient:
     ``max_retries + 1``); ``transport``, ``sleep`` and ``clock`` are
     injectable for tests.  All methods raise :class:`RequestError` for
     non-retryable client errors and :class:`ServiceUnavailable` once
-    the retry budget is spent.
+    the retry budget is spent.  The client keeps one connection open
+    between requests: :meth:`close` it, or use it in a ``with`` block.
     """
 
     def __init__(self, base_url: str, *,
@@ -90,12 +102,66 @@ class ServiceClient:
                  sleep=time.sleep, clock=time.time):
         """Remember the wiring; nothing touches the network yet."""
         self.base_url = base_url.rstrip("/")
+        scheme, sep, rest = self.base_url.partition("://")
+        if scheme != "http" or not sep:
+            raise ValueError(f"not an http:// service URL: {base_url!r}")
+        self._host = rest.partition("/")[0]
+        self._origin = f"http://{self._host}"
         self.policy = RetryPolicy() if policy is None else policy
         self.timeout = float(timeout)
-        self._transport = (_default_transport if transport is None
-                           else transport)
+        self._transport = self._exchange if transport is None else transport
         self._sleep = sleep
         self._clock = clock
+        self._conn: http.client.HTTPConnection | None = None
+        self._conn_lock = threading.Lock()
+
+    # -- the connection ------------------------------------------------
+
+    def _exchange(self, method: str, url: str, body, timeout: float):
+        """One HTTP exchange on the client's persistent connection (the
+        default transport); returns ``(status, raw_bytes)``.  HTTP
+        error statuses are returned, not raised — the retry loop
+        decides what is retryable."""
+        data = None if body is None else json.dumps(
+            body, sort_keys=True).encode()
+        headers = {"Content-Type": "application/json"} if data else {}
+        target = url[len(self._origin):] or "/"
+        with self._conn_lock:
+            if self._conn is None:
+                self._conn = http.client.HTTPConnection(self._host,
+                                                        timeout=timeout)
+            conn = self._conn
+            reused = conn.sock is not None
+            try:
+                resp = _send(conn, method, target, data, headers)
+            except _STALE:
+                if not reused:
+                    raise
+                # the server closed the connection while it was idle:
+                # resend once, on a new one
+                resp = _send(conn, method, target, data, headers)
+            try:
+                # a Connection: close reply has already detached the
+                # socket from conn, so the next request reconnects
+                return resp.status, resp.read()
+            except BaseException:
+                conn.close()
+                raise
+
+    def close(self) -> None:
+        """Close the client's connection (idempotent; a later request
+        opens a new one)."""
+        with self._conn_lock:
+            if self._conn is not None:
+                self._conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        """Use the client in a ``with`` block that closes it."""
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Close the connection on the way out of the ``with`` block."""
+        self.close()
 
     # -- the retry loop ------------------------------------------------
 
@@ -113,8 +179,7 @@ class ServiceClient:
                 faults.fire("http_request", f"{method} {path}")
                 status, raw = self._transport(
                     method, self.base_url + path, body, self.timeout)
-            except (OSError, urllib.error.URLError,
-                    http.client.HTTPException,
+            except (OSError, http.client.HTTPException,
                     faults.InjectedFault) as exc:
                 last = exc
             else:

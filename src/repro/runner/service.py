@@ -33,7 +33,16 @@ Robustness model:
   ``Retry-After`` header instead of growing the queue unboundedly.
 * **Error envelopes** — every failure is structured JSON
   ``{"error": {"code", "message"}}``; client mistakes (bad JSON,
-  unknown grid, malformed spec) are 4xx, never 500.
+  unknown grid, malformed spec, a malformed ``Content-Length`` or a
+  ``Transfer-Encoding`` body) are 4xx, never 500.
+* **Connections** — the handler speaks HTTP/1.1 with ``TCP_NODELAY``:
+  a client keeps one connection for all its requests, served by one
+  handler thread.  The service closes a connection after replying
+  (``Connection: close``) when it is draining, when the request body
+  was never read (413, malformed length, ``Transfer-Encoding``) or
+  when the client asked to.  :meth:`GridService.close` first wakes
+  every connection parked between requests, so an idle client never
+  holds up a drain or a stop.
 * **Graceful degradation** — a dead worker fleet surfaces as
   ``state: "degraded"`` in the status payload (with the quarantined /
   unleased remainder) rather than a request that hangs.
@@ -53,6 +62,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -111,19 +121,65 @@ class _Server(ThreadingHTTPServer):
     Handler threads are not daemons, so ``server_close()`` joins every
     in-flight request (each bounded by the service's
     ``request_timeout``): a drain never ends the serve loop, and with
-    it the process, before the ``POST /shutdown`` reply is written."""
+    it the process, before the ``POST /shutdown`` reply is written.
+
+    Connections are kept alive, one handler thread each, and a thread
+    between requests is parked on a read that only its client ends.
+    The server therefore tracks the connections that wait for their
+    next request line, and :meth:`wake_idle` ends those reads before
+    the join instead of waiting out an idle client."""
 
     daemon_threads = False
 
     def __init__(self, address, handler, service: "GridService"):
         """Bind ``address`` and remember the owning service."""
         self.service = service
+        self.closing = False
+        self._idle: set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
         super().__init__(address, handler)
+
+    def mark_idle(self, conn: socket.socket) -> bool:
+        """Note that ``conn`` waits for its next request line; ``False``
+        once the server is closing (the connection should end)."""
+        with self._idle_lock:
+            if self.closing:
+                return False
+            self._idle.add(conn)
+            return True
+
+    def mark_busy(self, conn: socket.socket) -> None:
+        """Note that ``conn`` is serving a request (or has ended)."""
+        with self._idle_lock:
+            self._idle.discard(conn)
+
+    def wake_idle(self) -> None:
+        """Refuse further requests on kept-alive connections and end the
+        read of every connection waiting for its next request line.
+
+        Only the read side is shut down: a request whose line was read
+        just before still writes its reply."""
+        with self._idle_lock:
+            self.closing = True
+            for conn in self._idle:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the client already closed it
 
 
 class _Handler(BaseHTTPRequestHandler):
     """Thin HTTP adapter: parse the request, delegate to
-    :meth:`GridService.handle`, render the JSON (or error envelope)."""
+    :meth:`GridService.handle`, render the JSON (or error envelope).
+
+    Speaks HTTP/1.1, so one handler serves every request of its
+    connection until the client or the service ends it.  Each reply
+    carries its ``Content-Length``; the socket has ``TCP_NODELAY``, so
+    a reply written as two sends (headers, body) never waits on the
+    client's delayed ACK."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         """Apply the service's per-request socket timeout: a stalled
@@ -132,20 +188,51 @@ class _Handler(BaseHTTPRequestHandler):
         self.timeout = self.server.service.request_timeout
         super().setup()
 
+    def handle_one_request(self) -> None:
+        """Serve the connection's next request, parked as idle (so a
+        closing server can wake it) until its request line arrives."""
+        if not self.server.mark_idle(self.connection):
+            self.close_connection = True
+            return
+        try:
+            super().handle_one_request()
+        finally:
+            self.server.mark_busy(self.connection)
+
+    def parse_request(self) -> bool:
+        """Leave the idle set once a request line has been read."""
+        self.server.mark_busy(self.connection)
+        return super().parse_request()
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         """Silence the default stderr access log (the CLI reports the
         bound address once; chatty per-request logs are opt-in)."""
         if self.server.service.verbose:
             super().log_message(format, *args)
 
+    def _unread_body(self, status: int, code: str, message: str):
+        """A :class:`ServiceError` for a body this handler will not
+        read; the connection closes after the reply, since the unread
+        bytes would otherwise be parsed as the next request."""
+        self.close_connection = True
+        return ServiceError(status, code, message)
+
     def _read_body(self):
         """The request body parsed as JSON, or ``None`` when absent."""
-        length = int(self.headers.get("Content-Length") or 0)
+        if "Transfer-Encoding" in self.headers:
+            raise self._unread_body(411, "length_required",
+                                    "request bodies need a "
+                                    "Content-Length")
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise self._unread_body(400, "bad_request",
+                                    f"malformed Content-Length {raw!r}")
+        length = int(raw)
         if length > MAX_BODY_BYTES:
-            raise ServiceError(413, "body_too_large",
-                               f"request body exceeds {MAX_BODY_BYTES}"
-                               " bytes")
-        if length <= 0:
+            raise self._unread_body(413, "body_too_large",
+                                    f"request body exceeds "
+                                    f"{MAX_BODY_BYTES} bytes")
+        if length == 0:
             return None
         try:
             return json.loads(self.rfile.read(length))
@@ -168,6 +255,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "error": {"code": "internal",
                           "message": f"{type(exc).__name__}: {exc}"}
             }, {}
+        if service.draining or self.server.closing:
+            self.close_connection = True
         body = json.dumps(payload, sort_keys=True).encode()
         try:
             self.send_response(status)
@@ -175,10 +264,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             for name, value in headers.items():
                 self.send_header(name, str(value))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except OSError:
-            pass  # client went away mid-response; nothing to salvage
+            # client went away mid-response; nothing to salvage
+            self.close_connection = True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server contract
         """Handle a GET request."""
@@ -427,8 +519,11 @@ class GridService:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Close the listening socket — joining in-flight handler
-        threads — and then the queue connection (idempotent)."""
+        """Wake every kept-alive connection that waits for its next
+        request, close the listening socket — joining the handler
+        threads, whose in-flight requests still finish and reply — and
+        then the queue connection (idempotent)."""
+        self._server.wake_idle()
         self._server.server_close()
         with self._lock:
             self._queue.close()

@@ -164,7 +164,7 @@ class TestReplayEquivalence:
     replays bit-identically under both kernels."""
 
     FAST_PATH_BASELINES = ("threshold", "memoryless", "followmin",
-                          "never-off")
+                          "never-off", "randomized")
 
     def _replay(self, name, inst, kernel):
         with kernels.use(kernel):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.analysis import optimal_cost
 from repro.core.schedule import interp_operating
 from repro.online import (RandomizedRounding, ThresholdFractional, ceil_star,
@@ -219,3 +220,54 @@ class TestSampling:
         run_online(inst, algo)
         fr = run_online(inst, ThresholdFractional())
         np.testing.assert_allclose(algo.fractional_log, fr.schedule)
+
+
+class TestRunTable:
+    """The whole-trajectory fast path is the per-step rounding: same
+    schedule, log, final state and generator state."""
+
+    @staticmethod
+    def replay(inst, kernel, inner=None, seed=11):
+        algo = RandomizedRounding(inner or ThresholdFractional(), rng=seed)
+        with kernels.use(kernel):
+            res = run_online(inst, algo)
+        return res, algo
+
+    @pytest.mark.parametrize("T,m,seed", [(1, 3, 0), (40, 6, 1),
+                                          (300, 12, 2)])
+    def test_matches_stepping(self, T, m, seed):
+        rng = np.random.default_rng(200 + seed)
+        inst = random_convex_instance(rng, T, m, 1.5)
+        (s, s_algo), (v, v_algo) = (self.replay(inst, k, seed=seed)
+                                    for k in ("scalar", "vector"))
+        assert v.cost == s.cost
+        np.testing.assert_array_equal(v.schedule, s.schedule)
+        assert v_algo.fractional_log == s_algo.fractional_log
+        assert all(type(x) is float for x in v_algo.fractional_log)
+        assert v_algo.state == s_algo.state
+        assert v_algo._xbar_prev == s_algo._xbar_prev
+        assert (v_algo._rng.bit_generator.state
+                == s_algo._rng.bit_generator.state)
+
+    def test_declines_leave_state_and_rng_untouched(self):
+        rng = np.random.default_rng(210)
+        inst = random_convex_instance(rng, 30, 5, 1.0)
+        windowed = ThresholdFractional()
+        windowed.lookahead = 2  # only the wrapper's window guard declines
+        for inner in (ThresholdFractional(validate=True), windowed):
+            algo = RandomizedRounding(inner, rng=4)
+            algo.reset(inst.m, inst.beta)
+            before = algo._rng.bit_generator.state
+            assert algo.run_table(inst.F) is None
+            assert algo._rng.bit_generator.state == before
+            assert algo.fractional_log == []
+            assert algo.state == 0 and algo._xbar_prev == 0.0
+
+    def test_validating_inner_falls_back_identically(self):
+        rng = np.random.default_rng(211)
+        inst = random_convex_instance(rng, 50, 5, 1.0)
+        s, _ = self.replay(inst, "scalar")
+        v, _ = self.replay(inst, "vector",
+                           inner=ThresholdFractional(validate=True))
+        assert v.cost == s.cost
+        np.testing.assert_array_equal(v.schedule, s.schedule)

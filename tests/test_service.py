@@ -5,10 +5,13 @@ faults) whose merged rows must stay bit-identical to a local run_grid."""
 
 import http.client
 import json
+import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.parse
+import urllib.request
 
 import pytest
 
@@ -17,10 +20,10 @@ from repro.runner import (EngineConfig, FaultPlan, FaultSpec, GridService,
                           ServiceClient, ServiceUnavailable, busy_stats,
                           run_grid, work)
 from repro.runner import faults, leasequeue
-from repro.runner.client import _default_transport
 from repro.runner.executor import backoff_delay
 from repro.runner.jobcache import connect_wal
-from repro.runner.service import SERVICE_WORKER, ServiceError
+from repro.runner.service import (MAX_BODY_BYTES, SERVICE_WORKER,
+                                  ServiceError)
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
                  seeds=(0, 1), sizes=(16,))
@@ -347,18 +350,19 @@ class TestOwnedConnection:
                                cache_dir=tmp_path / "cache").start()
         statuses, served, errors = [], {}, []
 
-        def recording(method, url, body, timeout):
-            status, raw = _default_transport(method, url, body, timeout)
-            statuses.append(status)
-            return status, raw
+        class RecordingClient(ServiceClient):
+            def _exchange(self, method, url, body, timeout):
+                status, raw = super()._exchange(method, url, body, timeout)
+                statuses.append(status)
+                return status, raw
 
         def client_loop(mine):
-            client = ServiceClient(service.url, transport=recording)
             try:
-                for spec in mine:
-                    grid_id = client.submit(spec)["grid"]
-                    served[grid_id] = client.wait(grid_id, timeout=30.0,
-                                                  poll=0.01)
+                with RecordingClient(service.url) as client:
+                    for spec in mine:
+                        grid_id = client.submit(spec)["grid"]
+                        served[grid_id] = client.wait(
+                            grid_id, timeout=30.0, poll=0.01)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -467,9 +471,9 @@ class TestDrainShutdown:
             self, tmp_path, make_service):
         for cycle in range(5):
             service = make_service(tmp_path / f"q{cycle}").start()
-            client = ServiceClient(service.url,
-                                   policy=RetryPolicy(max_retries=0))
-            assert client.shutdown() == {"draining": True}
+            with ServiceClient(service.url,
+                               policy=RetryPolicy(max_retries=0)) as client:
+                assert client.shutdown() == {"draining": True}
             service.join(timeout=10.0)
             assert not service._thread.is_alive()
 
@@ -492,9 +496,13 @@ class TestDrainShutdown:
         service.handle = slow_reply
         service.start()
         replies = []
-        client = threading.Thread(target=lambda: replies.append(
-            ServiceClient(service.url, policy=RetryPolicy(
-                max_retries=0)).shutdown()))
+
+        def shutdown():
+            with ServiceClient(service.url, policy=RetryPolicy(
+                    max_retries=0)) as client:
+                replies.append(client.shutdown())
+
+        client = threading.Thread(target=shutdown)
         client.start()
         assert handled.wait(10.0)
         service.join(timeout=0.5)  # the drain has already stopped accepting
@@ -504,6 +512,175 @@ class TestDrainShutdown:
         service.join(timeout=10.0)
         assert not service._thread.is_alive()
         assert replies == [{"draining": True}]
+
+
+def count_connections(service):
+    """Count the connections ``service`` accepts from now on."""
+    accepted = []
+    process = service._server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        return process(request, client_address)
+
+    service._server.process_request = counting
+    return accepted
+
+
+def raw_exchange(service, request: bytes):
+    """Send ``request`` on a fresh socket and read until the server
+    closes it: ``(status, headers, payload)``.  A server that kept the
+    connection open fails the read with a timeout."""
+    with socket.create_connection((service.host, service.port),
+                                  timeout=5.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+def run_with_watchdog(fn, limit):
+    """Run ``fn`` on a thread; seconds it took, or ``None`` when it
+    is still running after ``limit`` seconds."""
+    done = threading.Event()
+    t0 = time.monotonic()
+    thread = threading.Thread(target=lambda: (fn(), done.set()),
+                              daemon=True)
+    thread.start()
+    if not done.wait(limit):
+        return None
+    thread.join(timeout=limit)
+    return time.monotonic() - t0
+
+
+class TestConnections:
+    """One persistent HTTP/1.1 connection per client; the service
+    closes connections only when it must, and never waits on an idle
+    one to stop or drain."""
+
+    def test_one_client_makes_one_connection(self, tmp_path, make_service):
+        service = make_service(tmp_path / "q").start()
+        accepted = count_connections(service)
+        with ServiceClient(service.url) as client:
+            receipt = client.submit(SMALL)
+            for _ in range(5):
+                assert client.status(receipt["grid"])["grid"] == \
+                    receipt["grid"]
+                assert client.healthz()["ok"]
+            assert client.readyz()
+        assert len(accepted) == 1
+
+    def test_server_closed_idle_connection_costs_no_retry(
+            self, tmp_path, make_service):
+        """The service closes an idle connection after its request
+        timeout; the client's next request reconnects and resends
+        inside the same attempt, with no backoff sleep."""
+        service = make_service(tmp_path / "q",
+                               request_timeout=0.2).start()
+        accepted = count_connections(service)
+        sleeps = []
+        with ServiceClient(service.url, sleep=sleeps.append) as client:
+            assert client.healthz()["ok"]
+            time.sleep(0.6)  # the server times the idle connection out
+            assert client.healthz()["ok"]
+            assert len(accepted) == 2
+        assert sleeps == []
+
+    def test_connection_close_reply_reconnects_without_retry(
+            self, tmp_path, make_service):
+        """A ``Connection: close`` reply (here: any reply while
+        draining) ends the connection; the next request opens a new
+        one without counting a retry."""
+        service = make_service(tmp_path / "q").start()
+        accepted = count_connections(service)
+        sleeps = []
+        with ServiceClient(service.url, sleep=sleeps.append) as client:
+            service._draining = True  # flag only; the loop keeps serving
+            for _ in range(3):
+                assert client.healthz()["draining"]
+        assert sleeps == []
+        assert len(accepted) == 3
+
+    def test_stop_does_not_wait_on_an_idle_connection(
+            self, tmp_path, make_service):
+        # a 5 s request timeout bounds the failure mode of this test
+        service = make_service(tmp_path / "q", request_timeout=5.0).start()
+        with ServiceClient(service.url) as idle:
+            assert idle.healthz()["ok"]
+            took = run_with_watchdog(service.stop, 4.0)
+            assert took is not None and took < 1.0, took
+
+    def test_drain_does_not_wait_on_an_idle_connection(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q", request_timeout=5.0).start()
+        with ServiceClient(service.url) as idle, \
+                ServiceClient(service.url,
+                              policy=RetryPolicy(max_retries=0)) as other:
+            assert idle.healthz()["ok"]
+            replies = []
+            took = run_with_watchdog(
+                lambda: (replies.append(other.shutdown()),
+                         service.join(timeout=4.0)), 4.0)
+            assert replies == [{"draining": True}]
+            assert took is not None and took < 1.0, took
+            assert not service._thread.is_alive()
+
+    def test_close_and_with_release_the_socket(self, tmp_path,
+                                               make_service):
+        service = make_service(tmp_path / "q").start()
+        client = ServiceClient(service.url)
+        assert client.healthz()["ok"]
+        sock = client._conn.sock
+        client.close()
+        assert sock.fileno() == -1
+        client.close()  # idempotent
+        with ServiceClient(service.url) as client:
+            assert client.healthz()["ok"]
+            sock = client._conn.sock
+        assert sock.fileno() == -1
+
+    def test_http10_and_connection_close_clients_get_replies(
+            self, tmp_path, make_service):
+        service = make_service(tmp_path / "q").start()
+        # urllib sends "Connection: close" on every request
+        with urllib.request.urlopen(service.url + "/healthz",
+                                    timeout=5.0) as resp:
+            assert resp.status == 200
+            assert resp.headers["Connection"] == "close"
+            assert json.loads(resp.read())["ok"]
+        for request in (b"GET /healthz HTTP/1.0\r\n\r\n",
+                        b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                        b"Connection: close\r\n\r\n"):
+            status, headers, payload = raw_exchange(service, request)
+            assert status == 200 and payload["ok"]
+            assert headers["Connection"] == "close"
+
+    @pytest.mark.parametrize("framing,status,code", [
+        (b"Content-Length: abc\r\n\r\n{}", 400, "bad_request"),
+        (b"Content-Length: 1e3\r\n\r\n{}", 400, "bad_request"),
+        (b"Content-Length: -2\r\n\r\n{}", 400, "bad_request"),
+        (b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+         411, "length_required"),
+        (b"Content-Length: %d\r\n\r\n{}" % (MAX_BODY_BYTES + 1), 413,
+         "body_too_large"),
+    ])
+    def test_unread_body_gets_4xx_then_eof(self, tmp_path, make_service,
+                                           framing, status, code):
+        """A body the service does not read would be parsed as the
+        next request on a kept-alive connection: the reply is a 4xx
+        envelope, and the connection closes after it."""
+        service = make_service(tmp_path / "q").start()
+        got, headers, payload = raw_exchange(
+            service, b"POST /grids HTTP/1.1\r\nHost: x\r\n" + framing)
+        assert (got, payload["error"]["code"]) == (status, code)
+        assert headers["Connection"] == "close"
 
 
 class TestServiceClientRetry:
@@ -732,7 +909,8 @@ class TestEndToEndChaos:
         # clean drain on both replicas: exit the serve loop, and no
         # lease anywhere is left orphaned
         for svc, cli in ((service, client), (service2, client2)):
-            assert cli.shutdown()["draining"]
+            with cli:
+                assert cli.shutdown()["draining"]
             svc.join(timeout=15.0)
             assert not svc._thread.is_alive()
         for root in (tmp_path / "q", tmp_path / "q2"):
