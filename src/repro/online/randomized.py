@@ -23,6 +23,7 @@ suite verifies the three lemmas above without Monte Carlo error.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -74,7 +75,7 @@ def transition_prob_up(xbar_prev: float, xbar_t: float, x_prev: int) -> float:
     """
     xbar_prev = _snap(xbar_prev)
     xbar_t = _snap(xbar_t)
-    lower = float(np.floor(xbar_t))
+    lower = float(math.floor(xbar_t))
     upper = lower + 1.0
     xp = min(max(xbar_prev, lower), upper)  # the projection x-bar'_{t-1}
     if xbar_prev <= xbar_t:
@@ -199,7 +200,7 @@ class RandomizedRounding(OnlineAlgorithm):
         xbar = float(self._inner.step(f_row, future))
         self.fractional_log.append(xbar)
         p = transition_prob_up(self._xbar_prev, xbar, self.state)
-        lower = int(np.floor(_snap(xbar)))
+        lower = math.floor(_snap(xbar))
         x = lower + 1 if self._rng.random() < p else lower
         self._xbar_prev = xbar
         self._set_state(x)
@@ -229,7 +230,7 @@ class RandomizedRounding(OnlineAlgorithm):
         xbar_prev, x = self._xbar_prev, self.state
         for t, (xbar, u) in enumerate(zip(log, draws)):
             p = transition_prob_up(xbar_prev, xbar, x)
-            lower = int(np.floor(_snap(xbar)))
+            lower = math.floor(_snap(xbar))
             x = lower + 1 if u < p else lower
             out[t] = x
             xbar_prev = xbar

@@ -70,32 +70,32 @@ class ThresholdFractional(OnlineAlgorithm):
         """Whole-trajectory threshold rule.
 
         The per-threshold drifts ``g_s / beta`` are one table-wide
-        ``diff`` + divide; the clamped accumulation across time is
-        inherently sequential, but shrinks to three in-place array
-        calls per step — elementwise the same operations (and so the
-        same floats) as :meth:`step`.  Declines under ``validate=True``
-        to keep the per-step monotonicity assertion.
+        ``diff`` + divide into ``G``; the clamped accumulation across
+        time is inherently sequential, but shrinks to three in-place
+        array calls per step that overwrite row ``t`` of ``G`` with the
+        profile ``q`` after step ``t`` — elementwise the same operations
+        (and so the same floats) as :meth:`step`.  ``x-bar`` is then one
+        row-wise ``add.reduce``: the same pairwise sum per contiguous
+        row as ``q.sum()``.  Declines under ``validate=True`` to keep
+        the per-step monotonicity assertion.
         """
         if self._validate:
             return None
         F = np.asarray(F, dtype=np.float64)
-        T = F.shape[0]
         G = np.diff(F, axis=1)
         np.divide(G, self.beta, out=G)
-        drifts = list(G)
-        q = self._q
-        out = np.empty(T, dtype=np.float64)
         # clip(q, 0, 1) == minimum(maximum(q, 0), 1) exactly (pure
-        # selections, no rounding), and np.add.reduce is the very
-        # reduction ndarray.sum dispatches to — raw-ufunc spellings of
-        # the same ops, skipping the dispatch wrappers in this loop
+        # selections, no rounding); raw ufuncs skip the dispatch
+        # wrappers in this loop
         subtract, vmax, vmin = np.subtract, np.maximum, np.minimum
-        total = np.add.reduce
-        for t in range(T):
-            subtract(q, drifts[t], out=q)
-            vmax(q, 0.0, out=q)
-            vmin(q, 1.0, out=q)
-            out[t] = total(q)
-        if T:
+        q = self._q
+        for row in G:
+            subtract(q, row, out=row)
+            vmax(row, 0.0, out=row)
+            vmin(row, 1.0, out=row)
+            q = row
+        out = np.add.reduce(G, axis=1)
+        if len(G):
+            self._q[...] = q
             self._set_state(float(out[-1]))
         return out

@@ -129,13 +129,26 @@ def jsonify(value):
     return value
 
 
+def _plain(value):
+    """``json.dumps`` fallback: a numpy scalar or array as the plain
+    Python value :func:`jsonify` would give it."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def content_key(payload: dict) -> str:
     """Stable hash of a JSON-serializable coordinate payload.
 
     Callers must include their own version token (e.g. the engine
     version) in the payload so format changes invalidate old records.
+    The encoder meets numpy values only where they occur (it hands
+    them to :func:`_plain`), so the key is that of the
+    :func:`jsonify`-ed payload without walking it first.
     """
-    blob = json.dumps(jsonify(payload), sort_keys=True)
+    blob = json.dumps(payload, sort_keys=True, default=_plain)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
@@ -152,20 +165,29 @@ class _JsonBackend:
         return self.root / kind / key[:2] / f"{key}.json"
 
     def get(self, kind: str, key: str):
-        path = self.path(kind, key)
+        # one descriptor serves the read, the mtime and the access stamp
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) or payload.get("key") != key:
-            return None  # foreign or corrupted content: recompute
-        try:
-            # record the access in atime (explicitly, so relatime mounts
-            # don't matter) and keep mtime = written time: prune-by-age
-            # keys on mtime, the LRU size bound on atime
-            os.utime(path, (time.time(), path.stat().st_mtime))
+            fd = os.open(os.path.join(self.root, kind, key[:2],
+                                      key + ".json"), os.O_RDONLY)
         except OSError:
-            pass
+            return None
+        try:
+            try:
+                st = os.fstat(fd)
+                payload = json.loads(os.read(fd, st.st_size))
+            except (OSError, ValueError):
+                return None
+            if not isinstance(payload, dict) or payload.get("key") != key:
+                return None  # foreign or corrupted content: recompute
+            try:
+                # record the access in atime (explicitly, so relatime
+                # mounts don't matter) and keep mtime = written time:
+                # prune-by-age keys on mtime, the LRU size bound on atime
+                os.utime(fd, ns=(time.time_ns(), st.st_mtime_ns))
+            except OSError:
+                pass
+        finally:
+            os.close(fd)
         return payload.get("record")
 
     def put(self, kind: str, key: str, record, created=None) -> None:

@@ -9,8 +9,10 @@ over a common filesystem — lease, execute and complete independently:
 * :class:`LeaseQueue` — the WAL-mode queue database
   (``<root>/queue.db``, opened through the job cache's
   :func:`~repro.runner.jobcache.connect_wal`): one ``grids`` row per
-  enqueued spec (idempotent by content hash) and one ``leases`` row
-  per contiguous job range.  Claiming is one ``BEGIN IMMEDIATE``
+  enqueued spec (idempotent by content hash), one ``leases`` row per
+  contiguous job range, and one ``hits`` row per job whose result the
+  submitter already had (the grid service's cache hits), all written
+  by the one enqueue transaction.  Claiming is one ``BEGIN IMMEDIATE``
   transaction, so two workers can never lease the same range;
   heartbeats push a lease's deadline forward, and
   :meth:`~LeaseQueue.reclaim_expired` flips timed-out leases back to
@@ -23,13 +25,14 @@ over a common filesystem — lease, execute and complete independently:
   batch flush), and the shared per-job cache dedupes ranges that were
   partially executed before a crash — a re-run lease replays cached
   rows instead of recomputing.
-* :func:`merge_results` — collects the grid's envelopes from every
-  worker, dedupes by sequence number (first wins; duplicates are
-  checked for equality), asserts the grid is covered exactly, and
-  writes the rows — in grid job order — to an ordinary result sink.
-  Only the grid's own directory is read (plus the top-level
-  ``results/*.jsonl`` files a queue written before the per-grid layout
-  holds), so a status poll costs one grid's rows, not the history's.
+* :func:`merge_results` — collects the grid's stored hit rows and
+  then the envelopes of every worker, dedupes by sequence number
+  (first wins; duplicates are checked for equality), asserts the grid
+  is covered exactly, and writes the rows — in grid job order — to an
+  ordinary result sink.  Only the grid's ``hits`` range and its own
+  directory are read (plus the top-level ``results/*.jsonl`` files a
+  queue written before the per-grid layout holds), so a status poll
+  costs one grid's rows, not the history's.
 
 Every :class:`LeaseQueue` connection commits with
 ``synchronous=FULL``: a queue commit is durable when it returns.  The
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -149,8 +153,9 @@ class LeaseQueue:
 
     ``root`` is a directory (shared between workers — local disk for
     multi-process runs, a network filesystem for multi-host): the
-    queue database lives at ``<root>/queue.db`` and result envelopes
-    under ``<root>/results/<grid_id>/<worker>.jsonl``.  All state
+    queue database (grids, leases and stored hit rows) lives at
+    ``<root>/queue.db`` and worker result envelopes under
+    ``<root>/results/<grid_id>/<worker>.jsonl``.  All state
     transitions are single SQLite statements or ``BEGIN IMMEDIATE``
     transactions on a WAL-mode connection, so any number of workers may
     share the queue.  Commits are fsynced before they return
@@ -173,24 +178,54 @@ class LeaseQueue:
         self._conn = connect_wal(self.root / self.DB_NAME,
                                  check_same_thread=not _threaded)
         self._conn.execute("PRAGMA synchronous=FULL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS grids ("
-            " grid_id TEXT PRIMARY KEY,"
-            " spec TEXT NOT NULL,"
-            " total INTEGER NOT NULL,"
-            " lease_jobs INTEGER NOT NULL,"
-            " created REAL NOT NULL)")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS leases ("
-            " grid_id TEXT NOT NULL,"
-            " start INTEGER NOT NULL,"
-            " stop INTEGER NOT NULL,"
-            " state TEXT NOT NULL DEFAULT 'pending',"
-            " worker TEXT,"
-            " deadline REAL,"
-            " claims INTEGER NOT NULL DEFAULT 0,"
-            " reclaims INTEGER NOT NULL DEFAULT 0,"
-            " PRIMARY KEY (grid_id, start))")
+        try:
+            with_busy_retry(self._create_schema)
+        except BaseException:
+            self.close()
+            raise
+
+    #: the whole schema; each statement is a no-op on a queue that has
+    #: it, so an older queue gains what it lacks when it is opened
+    _SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS grids ("
+        " grid_id TEXT PRIMARY KEY,"
+        " spec TEXT NOT NULL,"
+        " total INTEGER NOT NULL,"
+        " lease_jobs INTEGER NOT NULL,"
+        " created REAL NOT NULL)",
+        "CREATE TABLE IF NOT EXISTS leases ("
+        " grid_id TEXT NOT NULL,"
+        " start INTEGER NOT NULL,"
+        " stop INTEGER NOT NULL,"
+        " state TEXT NOT NULL DEFAULT 'pending',"
+        " worker TEXT,"
+        " deadline REAL,"
+        " claims INTEGER NOT NULL DEFAULT 0,"
+        " reclaims INTEGER NOT NULL DEFAULT 0,"
+        " PRIMARY KEY (grid_id, start))",
+        # claim, reclaim and the outstanding/finished checks select
+        # leases by state: without it each scans the queue's history
+        "CREATE INDEX IF NOT EXISTS leases_by_state"
+        " ON leases (state, grid_id, start)",
+        # cache-hit rows stored by the submit that enqueued the grid
+        "CREATE TABLE IF NOT EXISTS hits ("
+        " grid_id TEXT NOT NULL,"
+        " seq INTEGER NOT NULL,"
+        " row TEXT NOT NULL,"
+        " PRIMARY KEY (grid_id, seq)) WITHOUT ROWID",
+    )
+
+    def _create_schema(self) -> None:
+        """Create whatever the schema lacks in one deferred transaction:
+        one commit on a fresh queue, none on a complete one."""
+        self._conn.execute("BEGIN")
+        try:
+            for statement in self._SCHEMA:
+                self._conn.execute(statement)
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
 
     # -- plumbing ------------------------------------------------------
 
@@ -233,7 +268,8 @@ class LeaseQueue:
 
     def enqueue(self, spec: GridSpec, *,
                 lease_jobs: int = DEFAULT_LEASE_JOBS,
-                jobs=None, budget: int | None = None) -> str:
+                jobs=None, budget: int | None = None,
+                rows: dict[int, dict] | None = None) -> str:
         """Split ``spec`` into contiguous leases; return its grid id.
 
         Idempotent: enqueueing a spec that is already queued (same
@@ -244,31 +280,42 @@ class LeaseQueue:
         the indexes are grouped into contiguous runs of at most
         ``lease_jobs`` and only those ranges become leases — the
         grid's ``total`` still counts every job, so the merge's
-        coverage check expects the caller to supply the skipped rows
-        (cache-hit envelopes).  An empty subset enqueues the grid
-        with no leases at all: immediately finished.
+        coverage check expects the caller to supply the skipped rows.
+        ``rows`` (``{seq: row}``, the grid service's cache hits) are
+        those rows: stored in the queue's ``hits`` table by the same
+        transaction, so they are durable when the enqueue returns and
+        the merge reads them before any worker envelope.  An empty
+        subset enqueues the grid with no leases at all: immediately
+        finished.
 
         ``budget`` (the grid service's admission control) caps the
         queue's outstanding jobs: a new grid whose leases would push
         :meth:`outstanding_jobs` past it is refused with
-        :class:`OverBudget` and nothing is written.  The check runs
-        inside the enqueue transaction, so concurrent submitters are
-        admitted one at a time against the same total.
+        :class:`OverBudget` and nothing — no grid, lease or row — is
+        written.  The check runs inside the enqueue transaction, so
+        concurrent submitters are admitted one at a time against the
+        same total.
         """
         if lease_jobs < 1:
             raise ValueError("lease_jobs must be positive")
         grid_id = spec.cache_key()
         total = len(spec)
+
+        def _in_range(indexes, what):
+            if indexes and not (0 <= indexes[0] and indexes[-1] < total):
+                raise ValueError(f"{what} out of range for a "
+                                 f"{total}-job grid")
+            return indexes
+
         if jobs is None:
             ranges = [(start, min(start + lease_jobs, total))
                       for start in range(0, total, lease_jobs)]
         else:
-            indexes = sorted(set(int(j) for j in jobs))
-            if indexes and not (0 <= indexes[0]
-                                and indexes[-1] < total):
-                raise ValueError(f"job indexes out of range for a "
-                                 f"{total}-job grid")
+            indexes = _in_range(sorted(set(int(j) for j in jobs)),
+                                "job indexes")
             ranges = _contiguous_runs(indexes, lease_jobs)
+        hits = [(grid_id, seq, json.dumps(rows[seq], sort_keys=True))
+                for seq in _in_range(sorted(rows or ()), "hit seqs")]
         requested = sum(stop - start for start, stop in ranges)
 
         def _attempt():
@@ -291,6 +338,9 @@ class LeaseQueue:
                         (grid_id,
                          json.dumps(spec.to_dict(), sort_keys=True),
                          total, lease_jobs, self._clock()))
+                    conn.executemany(
+                        "INSERT INTO hits (grid_id, seq, row)"
+                        " VALUES (?, ?, ?)", hits)
                     conn.executemany(
                         "INSERT INTO leases (grid_id, start, stop)"
                         " VALUES (?, ?, ?)",
@@ -363,18 +413,42 @@ class LeaseQueue:
             out[state] = n
         return out
 
+    # The lease-state queries below name the open states outright:
+    # ``state != 'done'`` would scan the queue's whole history instead
+    # of searching the leases_by_state index.
+
     def finished(self, grid_id: str | None = None) -> bool:
         """True when no lease (of the grid / the queue) is outstanding."""
-        counts = self.counts(grid_id)
-        return counts["pending"] == 0 and counts["leased"] == 0
+        sql = ("SELECT 1 FROM leases"
+               " WHERE state IN ('pending', 'leased')")
+        args: tuple = ()
+        if grid_id is not None:
+            sql += " AND grid_id = ?"
+            args = (grid_id,)
+        return self._conn.execute(sql + " LIMIT 1", args).fetchone() is None
+
+    def leased(self) -> int:
+        """Leases a worker holds right now, across the whole queue (what
+        a drain waits on)."""
+        return int(self._conn.execute(
+            "SELECT COUNT(*) FROM leases WHERE state = 'leased'"
+        ).fetchone()[0])
 
     def outstanding_jobs(self) -> int:
         """Total jobs inside not-yet-done leases across the whole
         queue — the grid service's admission-control pressure gauge."""
         row = self._conn.execute(
             "SELECT COALESCE(SUM(stop - start), 0) FROM leases"
-            " WHERE state != 'done'").fetchone()
+            " WHERE state IN ('pending', 'leased')").fetchone()
         return int(row[0])
+
+    def hit_rows(self, grid_id: str):
+        """Yield ``(seq, row)`` for the cache-hit rows the grid was
+        enqueued with, in job order (one primary-key range read)."""
+        for seq, row in self._conn.execute(
+                "SELECT seq, row FROM hits WHERE grid_id = ?"
+                " ORDER BY seq", (grid_id,)).fetchall():
+            yield seq, json.loads(row)
 
     # -- the lease lifecycle -------------------------------------------
 
@@ -662,38 +736,48 @@ def _is_failed(row) -> bool:
     return isinstance(row, dict) and row.get("status") == "failed"
 
 
-def _collect_rows(queue: LeaseQueue, grid_id: str) -> dict[int, dict]:
-    """First-wins merge of every worker's envelopes for one grid.
-
-    Reads only :meth:`LeaseQueue.envelope_paths` — the grid's own
-    directory and any pre-per-grid top-level files.  Duplicates (re-run
-    ranges) must agree — determinism means an ok/ok mismatch is a real
-    bug — with one deliberate asymmetry: a successful row always
-    replaces a quarantined one for the same job (a retried worker
-    healed it; the stale failure envelope stays in the old worker log),
-    and two quarantine rows never conflict (their attempt counts and
-    messages legitimately differ across workers).
-    """
-    rows: dict[int, dict] = {}
+def _envelope_rows(queue: LeaseQueue, grid_id: str):
+    """Yield ``(seq, row)`` from the grid's envelope files, in
+    :meth:`LeaseQueue.envelope_paths` order."""
     for path in queue.envelope_paths(grid_id):
         for env in _iter_envelopes(path):
-            if env.get("grid") != grid_id:
-                continue
-            seq, row = env["seq"], env["row"]
-            prev = rows.get(seq)
-            if prev is None:
-                rows[seq] = row
-            elif prev == row:
-                continue
-            elif _is_failed(prev) and not _is_failed(row):
-                rows[seq] = row       # a retry healed the job
-            elif _is_failed(row) or _is_failed(prev):
-                continue              # keep the healthier / first row
-            else:
-                raise MergeError(
-                    f"conflicting results for job {seq} of grid "
-                    f"{grid_id}: determinism violated (were the "
-                    f"workers running different code versions?)")
+            if env.get("grid") == grid_id:
+                yield env["seq"], env["row"]
+
+
+def _collect_rows(queue: LeaseQueue, grid_id: str) -> dict[int, dict]:
+    """First-wins merge of one grid's rows: the cache-hit rows stored
+    with the grid (:meth:`LeaseQueue.hit_rows`), then every worker's
+    envelopes.
+
+    Reads only the grid's ``hits`` range and
+    :meth:`LeaseQueue.envelope_paths` — the grid's own directory (where
+    an older service also wrote its hit rows, as ``service.jsonl``) and
+    any pre-per-grid top-level files.  Duplicates (re-run ranges) must
+    agree — determinism means an ok/ok mismatch is a real bug — with
+    one deliberate asymmetry: a successful row always replaces a
+    quarantined one for the same job (a retried worker healed it; the
+    stale failure envelope stays in the old worker log), and two
+    quarantine rows never conflict (their attempt counts and messages
+    legitimately differ across workers).
+    """
+    rows: dict[int, dict] = {}
+    for seq, row in itertools.chain(queue.hit_rows(grid_id),
+                                    _envelope_rows(queue, grid_id)):
+        prev = rows.get(seq)
+        if prev is None:
+            rows[seq] = row
+        elif prev == row:
+            continue
+        elif _is_failed(prev) and not _is_failed(row):
+            rows[seq] = row       # a retry healed the job
+        elif _is_failed(row) or _is_failed(prev):
+            continue              # keep the healthier / first row
+        else:
+            raise MergeError(
+                f"conflicting results for job {seq} of grid "
+                f"{grid_id}: determinism violated (were the "
+                f"workers running different code versions?)")
     return rows
 
 
@@ -726,9 +810,10 @@ def _resolve_grid(queue: LeaseQueue, grid_id: str | None) -> str:
 def merge_results(root, grid_id: str | None = None, sink=None):
     """Merge every worker's envelopes into one in-order result set.
 
-    Reads the grid's envelope files (``<root>/results/<grid_id>/``,
-    plus top-level ``<root>/results/*.jsonl`` from a queue written
-    before the per-grid layout), keeps the first envelope per sequence
+    Reads the grid's stored hit rows, then its envelope files
+    (``<root>/results/<grid_id>/``, plus top-level
+    ``<root>/results/*.jsonl`` from a queue written before the
+    per-grid layout), keeps the first row per sequence
     number (re-run ranges produce duplicates; they are checked to be
     identical — determinism means any mismatch is a real bug, not a
     race), verifies the grid is covered *exactly*

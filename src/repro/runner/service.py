@@ -8,10 +8,9 @@ for the worker fleet to drain.  One request lifecycle::
 
     POST /grids  {GridSpec.to_dict()}
       -> probe every job against the content-addressed JobCache
-      -> write the hit rows as result envelopes (a synthetic
-         "service" worker file in the grid's envelope directory,
-         which the ordinary merge consumes)
-      -> enqueue leases covering only the misses
+      -> one queue transaction, one durable COMMIT: the grid, leases
+         covering only the misses, and the hit rows (which the
+         ordinary merge reads before any worker envelope)
       -> 202 {"grid": <digest>, "cache_hits": h, "enqueued": m}
     GET /grids/<id>
       -> the shared leasequeue.grid_status() payload: lease + job
@@ -30,7 +29,8 @@ Robustness model:
   POST) can never double-enqueue.
 * **Admission control** — submits that would push the queue's
   outstanding-job total over ``budget`` get ``429`` with a
-  ``Retry-After`` header instead of growing the queue unboundedly.
+  ``Retry-After`` header instead of growing the queue unboundedly; a
+  refused submit writes nothing.
 * **Error envelopes** — every failure is structured JSON
   ``{"error": {"code", "message"}}``; client mistakes (bad JSON,
   unknown grid, malformed spec, a malformed ``Content-Length`` or a
@@ -51,16 +51,16 @@ Robustness model:
   and every handler thread uses it under one service-owned lock.  No
   request opens or closes ``queue.db``, so no request pays the WAL
   checkpoint SQLite runs when a database's last connection closes;
-  queue commits are durable at COMMIT (``synchronous=FULL``).  Cache
-  probes open a per-request :class:`JobCache` view, and the shared
-  ``with_busy_retry`` wrapper absorbs SQLITE_BUSY contention with the
-  worker fleet deterministically.
+  queue commits are durable at COMMIT (``synchronous=FULL``), and a
+  submit makes exactly one.  Cache probes open a per-request
+  :class:`JobCache` view, and the shared ``with_busy_retry`` wrapper
+  absorbs SQLITE_BUSY contention with the worker fleet
+  deterministically.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import socket
 import threading
@@ -75,17 +75,12 @@ from .leasequeue import (DEFAULT_LEASE_JOBS, LeaseQueue, OverBudget,
 __all__ = [
     "DEFAULT_BUDGET",
     "GridService",
-    "SERVICE_WORKER",
     "ServiceError",
 ]
 
 #: default admission-control budget: max outstanding (not-yet-done)
 #: jobs the queue may hold across every grid
 DEFAULT_BUDGET = 10_000
-
-#: synthetic worker id under which the service writes cache-hit rows
-#: (an ordinary envelope file, so the merge needs no special case)
-SERVICE_WORKER = "service"
 
 #: largest request body the service will read (a grid spec is tiny;
 #: anything bigger is a client error, not a memory bill)
@@ -404,22 +399,6 @@ class GridService:
                 hits[seq] = row
         return hits
 
-    def _write_hits(self, grid_id: str, hits: dict[int, dict]) -> None:
-        """Append cache-hit rows as ordinary result envelopes to the
-        grid's synthetic service worker file (fsynced, so the enqueue
-        that follows never races durable coverage)."""
-        if not hits:
-            return
-        path = self._queue.worker_path(grid_id, SERVICE_WORKER)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as fh:
-            for seq in sorted(hits):
-                fh.write(json.dumps(
-                    {"seq": seq, "grid": grid_id, "row": hits[seq]},
-                    sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def _submit(self, body):
         """``POST /grids``: idempotent cache-probing submit."""
         if self._draining:
@@ -440,12 +419,9 @@ class GridService:
             hits = self._probe_cache(spec)
             misses = [seq for seq in range(len(spec))
                       if seq not in hits]
-            # hit rows go out before the enqueue decides on admission:
-            # a refused grid leaves envelopes the merge dedupes by seq
-            self._write_hits(grid_id, hits)
             try:
                 queue.enqueue(spec, lease_jobs=self.lease_jobs,
-                              jobs=misses, budget=self.budget)
+                              jobs=misses, budget=self.budget, rows=hits)
             except OverBudget as exc:
                 raise ServiceError(429, "over_budget", str(exc),
                                    headers={"Retry-After": "1"}
@@ -508,7 +484,7 @@ class GridService:
         while time.monotonic() < deadline:
             try:
                 with self._lock:
-                    leased = self._queue.counts()["leased"]
+                    leased = self._queue.leased()
             except Exception:
                 break  # queue unreachable: nothing left to wait on
             if leased == 0:

@@ -1,16 +1,19 @@
 """Tests for the JobCache backends (JSON dir vs SQLite), the `repro
 cache` admin CLI, and the nightly benchmark comparator."""
 
+import hashlib
 import json
 import multiprocessing
+import os
 import sqlite3
 import time
 
+import numpy as np
 import pytest
 
 from repro.runner import (EngineConfig, GridSpec, JobCache, RunStats,
                           migrate_cache, run_grid)
-from repro.runner.jobcache import DB_NAME, connect_wal
+from repro.runner.jobcache import DB_NAME, connect_wal, content_key, jsonify
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
                  seeds=(0, 1), sizes=(16,))
@@ -189,6 +192,137 @@ def _open_each_at_barrier(paths, barrier, failures):
         except sqlite3.OperationalError:
             with failures.get_lock():
                 failures.value += 1
+
+
+def _jsonify_key(payload) -> str:
+    """The reference key: walk the payload with ``jsonify``, then hash
+    its canonical JSON (how every existing cache record was keyed)."""
+    blob = json.dumps(jsonify(payload), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+def _random_value(rng, depth=0):
+    """A random key-payload value: Python and NumPy scalars, arrays,
+    and nested dicts, lists and tuples of them."""
+    kind = int(rng.integers(0, 12 if depth < 3 else 8))
+    if kind == 0:
+        return int(rng.integers(-10**6, 10**6))
+    if kind == 1:
+        return float(rng.normal()) * 10.0 ** int(rng.integers(-8, 9))
+    if kind == 2:
+        return np.int64(rng.integers(-10**12, 10**12))
+    if kind == 3:
+        return np.float32(rng.normal() * 100)
+    if kind == 4:
+        return np.float64(rng.normal()) * 10.0 ** int(rng.integers(-8, 9))
+    if kind == 5:
+        return np.bool_(rng.integers(0, 2))
+    if kind == 6:
+        return [None, True, "diurnal", "{}"][int(rng.integers(0, 4))]
+    if kind == 7:
+        return np.int32(rng.integers(-1000, 1000))
+    if kind == 8:
+        dtype = [np.int64, np.float32, np.float64, np.bool_][
+            int(rng.integers(0, 4))]
+        shape = tuple(int(n) for n in rng.integers(0, 4, size=int(
+            rng.integers(1, 3))))
+        return (rng.normal(size=shape) * 50).astype(dtype)
+    if kind == 9:
+        return tuple(_random_value(rng, depth + 1)
+                     for _ in range(int(rng.integers(0, 4))))
+    if kind == 10:
+        return [_random_value(rng, depth + 1)
+                for _ in range(int(rng.integers(0, 4)))]
+    return {f"k{i}": _random_value(rng, depth + 1)
+            for i in range(int(rng.integers(0, 4)))}
+
+
+class TestContentKey:
+    """``content_key`` hashes numpy values where the encoder meets them
+    instead of walking the payload first; every key must stay what it
+    was, so existing caches keep hitting."""
+
+    def test_golden_keys(self):
+        """Keys of a job, an instance, an instance payload and a sweep
+        point — NumPy scalars and arrays included — as the cache has
+        always stored them."""
+        from repro.analysis.sweep import _point_key
+        from repro.runner.engine import instance_key, job_key
+        from repro.runner.instancestore import store_key
+        job = ("diurnal", "lcp", np.int64(200), np.int32(3), np.int64(0),
+               np.int8(0), '{"beta": 2.0}')
+        assert job_key(job) == "a47a51af46fbf5e9e0e13aef"
+        assert job_key(("diurnal", "threshold", 200, 3, 0, 0, "{}")) == \
+            "d620cc3f95b6e84483929c2a"
+        coords = ("bursty", "general", np.int64(1000), np.uint16(7), "{}")
+        assert instance_key(coords) == "a456bef63e2bf12b6e1eb9eb"
+        assert store_key(coords) == "1a5703e50b803ed71bd6265f"
+        point = {"beta": np.float64(2.5), "m": np.int64(12),
+                 "ratio": np.float32(0.1), "flag": np.bool_(True),
+                 "grid": np.arange(4, dtype=np.int32),
+                 "table": np.linspace(0.0, 1.0, 6).reshape(2, 3),
+                 "nested": {"pair": (np.float32(1.5), [np.int16(-3), 2.0]),
+                            "none": None, "s": "x"}}
+        assert _point_key(run_grid, point) == "18b3fe55fdeed1ccdb1f2ad8"
+
+    def test_matches_the_jsonify_reference(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            payload = {f"f{i}": _random_value(rng)
+                       for i in range(int(rng.integers(1, 6)))}
+            assert content_key(payload) == _jsonify_key(payload), payload
+
+    def test_unserializable_values_still_raise(self):
+        with pytest.raises(TypeError):
+            content_key({"fn": object()})
+
+
+class TestJsonGet:
+    """The JSON backend reads each record through one descriptor; its
+    miss rules and access stamps are the historical ones."""
+
+    def test_missing_corrupt_foreign_and_unreadable_records_miss(
+            self, tmp_path):
+        cache = JobCache(tmp_path, backend="json")
+        assert cache.get("jobs", "ab01") is None          # missing
+        cache.put("jobs", "ab02", {"v": 2})
+        cache.path("jobs", "ab02").write_text('{"key": "ab02", "rec')
+        assert cache.get("jobs", "ab02") is None          # corrupt
+        cache.path("jobs", "ab02").write_bytes(b"")
+        assert cache.get("jobs", "ab02") is None          # empty
+        cache.path("jobs", "ab02").write_bytes(b"\xff\xfe{")
+        assert cache.get("jobs", "ab02") is None          # not UTF-8
+        cache.put("jobs", "ab03", {"v": 3})
+        cache.path("jobs", "ab03").write_text(
+            json.dumps({"key": "ab99", "record": {"v": 3}}))
+        assert cache.get("jobs", "ab03") is None          # foreign key
+        cache.path("jobs", "ab04").mkdir(parents=True)
+        assert cache.get("jobs", "ab04") is None          # unreadable
+        cache.put("jobs", "ab05", [1, 2])
+        cache.path("jobs", "ab05").write_text(json.dumps([1, 2]))
+        assert cache.get("jobs", "ab05") is None          # not a record
+
+    def test_hit_advances_atime_and_keeps_mtime(self, tmp_path):
+        cache = JobCache(tmp_path, backend="json")
+        cache.put("jobs", "ab10", {"v": 10}, created=1_000_000_000.25)
+        path = cache.path("jobs", "ab10")
+        os.utime(path, ns=(1_000_000_000_000_000_000,
+                           1_000_000_000_250_000_123))
+        before = time.time_ns()
+        assert cache.get("jobs", "ab10") == {"v": 10}
+        st = os.stat(path)
+        assert st.st_mtime_ns == 1_000_000_000_250_000_123
+        assert st.st_atime_ns >= before - 2 * 10**9  # coarse clocks
+
+    def test_failed_access_stamp_still_hits(self, tmp_path, monkeypatch):
+        cache = JobCache(tmp_path, backend="json")
+        cache.put("jobs", "ab20", {"v": 20})
+
+        def refused(*args, **kwargs):
+            raise PermissionError("read-only cache")
+
+        monkeypatch.setattr(os, "utime", refused)
+        assert cache.get("jobs", "ab20") == {"v": 20}
 
 
 class TestConcurrentOpen:

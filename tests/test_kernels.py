@@ -195,6 +195,20 @@ class TestReplayEquivalence:
             assert v.cost == s.cost, name
             assert np.array_equal(v.schedule, s.schedule), name
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9])
+    def test_small_m_threshold_and_rounding_bit_identical(self, m):
+        """Around NumPy's 8-wide pairwise-sum block the threshold
+        rule's row-wise x-bar reduction still equals the per-step
+        ``q.sum()``, and the rounding built on it the stepped chain."""
+        from repro.workloads import random_convex_instance
+        inst = random_convex_instance(np.random.default_rng(300 + m),
+                                      150, m, 0.8)
+        for name in ("threshold", "randomized"):
+            s = self._replay(name, inst, "scalar")
+            v = self._replay(name, inst, "vector")
+            assert v.cost == s.cost, name
+            assert v.schedule.tobytes() == s.schedule.tobytes(), name
+
     def test_lookahead_consumer_falls_back_identically(self):
         from repro.online import LCP
         inst = build_instance("diurnal", 48, 1)

@@ -413,3 +413,200 @@ class TestSubsetEnqueueAndStatus:
         lease = queue.claim("w")
         assert lease is not None  # the transient lock healed in-place
         assert busy_stats()["sqlite_busy_retries"] > before
+
+
+class TestSchemaAndIndexes:
+    """The queue's schema: one transaction to create it, an index for
+    every lease-state query, and older queues upgraded on open."""
+
+    def test_lease_state_queries_search_the_state_index(self, tmp_path):
+        """claim (with and without a grid), reclaim, the outstanding-job
+        gauge and the open-lease checks read leases by state through
+        ``leases_by_state``: none scans the queue's history."""
+        queue = LeaseQueue(tmp_path)
+        grid_id = queue.enqueue(SMALL, lease_jobs=2)
+        statements = []
+        queue._conn.set_trace_callback(statements.append)
+        queue.claim("w")
+        queue.claim("w", grid_id=grid_id)
+        queue.reclaim_expired()
+        queue.reclaim_expired(grid_id)
+        queue.outstanding_jobs()
+        queue.finished()
+        queue.finished(grid_id)
+        queue.leased()
+        queue._conn.set_trace_callback(None)
+        by_state = [sql for sql in statements if " WHERE state" in sql]
+        assert len(by_state) == 8
+        for sql in by_state:
+            plan = " | ".join(row[-1] for row in queue._conn.execute(
+                "EXPLAIN QUERY PLAN " + sql,
+                (None,) * sql.count("?")).fetchall())
+            assert "INDEX leases_by_state" in plan, (sql, plan)
+            assert "SCAN" not in plan and "TEMP B-TREE" not in plan, \
+                (sql, plan)
+
+    def test_fresh_queue_creates_its_schema_in_one_commit(
+            self, tmp_path, monkeypatch):
+        statements = []
+        connect_wal = leasequeue.connect_wal
+
+        def tracing(*args, **kwargs):
+            conn = connect_wal(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(leasequeue, "connect_wal", tracing)
+        LeaseQueue(tmp_path / "fresh").close()
+        writes = [sql for sql in statements
+                  if not sql.startswith("PRAGMA")]
+        assert writes[0] == "BEGIN" and writes[-1] == "COMMIT"
+        assert writes.count("COMMIT") == 1
+        assert sum(sql.startswith("CREATE") for sql in writes) == 4
+
+    def test_older_queue_gains_hits_table_and_index_on_open(
+            self, tmp_path):
+        """A queue created before the ``hits`` table and the state
+        index existed gets both when it is opened, and keeps its
+        grids."""
+        queue = LeaseQueue(tmp_path)
+        grid_id = queue.enqueue(SMALL, lease_jobs=4)
+        queue._conn.execute("DROP INDEX leases_by_state")
+        queue._conn.execute("DROP TABLE hits")
+        queue.close()
+        queue = LeaseQueue(tmp_path)
+        names = {row[0] for row in queue._conn.execute(
+            "SELECT name FROM sqlite_master")}
+        assert {"hits", "leases_by_state"} <= names
+        assert queue.grids() == [grid_id]
+        work(queue, worker="w")
+        assert merge_results(queue) == run_grid(SMALL)
+        queue.close()
+
+
+class _CrashAfterHitInsert:
+    """A queue connection that raises right after the enqueue
+    transaction inserted its hit rows (noting how many it saw)."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.seen_hits = None
+
+    def execute(self, *args):
+        return self.conn.execute(*args)
+
+    def executemany(self, sql, rows):
+        cur = self.conn.executemany(sql, rows)
+        if sql.startswith("INSERT INTO hits"):
+            self.seen_hits = self.conn.execute(
+                "SELECT COUNT(*) FROM hits").fetchone()[0]
+            raise RuntimeError("crash inside the enqueue transaction")
+        return cur
+
+
+class TestStoredHits:
+    """Cache-hit rows ride the enqueue transaction into ``hits``."""
+
+    def _hits(self, keep):
+        """``{seq: row}`` of the local run's rows for seqs in ``keep``."""
+        rows = run_grid(SMALL)
+        return {seq: rows[seq] for seq in keep}
+
+    def test_hit_rows_are_stored_with_the_grid_and_merge_first(
+            self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        hits = self._hits(range(0, len(SMALL), 2))
+        grid_id = queue.enqueue(SMALL, lease_jobs=3, jobs=[
+            seq for seq in range(len(SMALL)) if seq not in hits],
+            rows=hits)
+        assert dict(queue.hit_rows(grid_id)) == hits
+        stored = queue._conn.execute(
+            "SELECT seq, row FROM hits WHERE grid_id = ?",
+            (grid_id,)).fetchall()
+        assert {seq: json.dumps(hits[seq], sort_keys=True)
+                for seq in hits} == dict(stored)
+        assert queue.outstanding_jobs() == len(SMALL) - len(hits)
+        work(queue, worker="w")
+        assert merge_results(queue) == run_grid(SMALL)
+        queue.close()
+
+    def test_all_hit_grid_needs_no_worker_and_no_directory(self, tmp_path):
+        from repro.runner import grid_status
+        queue = LeaseQueue(tmp_path)
+        hits = self._hits(range(len(SMALL)))
+        grid_id = queue.enqueue(SMALL, jobs=[], rows=hits)
+        assert queue.finished(grid_id)
+        assert grid_status(queue, grid_id)["rows"] == run_grid(SMALL)
+        assert merge_results(queue, grid_id) == run_grid(SMALL)
+        assert not (queue.results_dir / grid_id).exists()
+        queue.close()
+
+    def test_resubmit_writes_no_rows(self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        hits = self._hits([0, 1])
+        grid_id = queue.enqueue(SMALL, jobs=range(2, len(SMALL)),
+                                rows=hits)
+        assert queue.enqueue(SMALL, jobs=[],
+                             rows=self._hits(range(len(SMALL)))) == grid_id
+        assert dict(queue.hit_rows(grid_id)) == hits
+        queue.close()
+
+    def test_refused_enqueue_writes_no_grid_and_no_rows(self, tmp_path):
+        from repro.runner.leasequeue import OverBudget
+        queue = LeaseQueue(tmp_path)
+        with pytest.raises(OverBudget):
+            queue.enqueue(SMALL, jobs=range(2, len(SMALL)),
+                          rows=self._hits([0, 1]), budget=1)
+        assert queue.grids() == []
+        assert queue._conn.execute(
+            "SELECT COUNT(*) FROM hits").fetchone() == (0,)
+        queue.close()
+
+    def test_out_of_range_hit_seqs_raise(self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        row = run_grid(SMALL)[0]
+        for seq in (-1, len(SMALL)):
+            with pytest.raises(ValueError, match="out of range"):
+                queue.enqueue(SMALL, jobs=[], rows={seq: row})
+        assert queue.grids() == []
+        queue.close()
+
+    def test_crash_after_hit_insert_leaves_no_grid_and_no_rows(
+            self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        hits = self._hits([0, 1, 2])
+        conn = queue._conn
+        queue._conn = crashing = _CrashAfterHitInsert(conn)
+        try:
+            with pytest.raises(RuntimeError, match="enqueue transaction"):
+                queue.enqueue(SMALL, jobs=range(3, len(SMALL)), rows=hits)
+        finally:
+            queue._conn = conn
+        assert crashing.seen_hits == len(hits)
+        assert not conn.in_transaction
+        assert queue.grids() == []
+        assert conn.execute("SELECT COUNT(*) FROM hits").fetchone() == (0,)
+        assert conn.execute("SELECT COUNT(*) FROM leases").fetchone() == (0,)
+        queue.close()
+
+    def test_merge_rules_span_hits_and_envelopes(self, tmp_path):
+        """First-wins, equal duplicates and prefer-ok hold across the
+        two sources, with the stored hits read first."""
+        expected = run_grid(SMALL)
+        failed = {"status": "failed", "error": "boom"}
+        queue = LeaseQueue(tmp_path)
+        grid_id = queue.enqueue(SMALL, jobs=[], rows={
+            seq: (failed if seq == 0 else row)
+            for seq, row in enumerate(expected)})
+        extra = queue.worker_path(grid_id, "rerun")
+        extra.parent.mkdir(parents=True)
+        extra.write_text("".join(
+            json.dumps({"seq": seq, "grid": grid_id, "row": row}) + "\n"
+            for seq, row in ((0, expected[0]), (1, expected[1]),
+                             (2, dict(failed, attempts=3)))))
+        assert merge_results(queue, grid_id) == expected
+        extra.write_text(json.dumps(
+            {"seq": 1, "grid": grid_id, "row": {"bogus": 1}}) + "\n")
+        with pytest.raises(ValueError, match="determinism"):
+            merge_results(queue, grid_id)
+        queue.close()

@@ -5,6 +5,7 @@ faults) whose merged rows must stay bit-identical to a local run_grid."""
 
 import http.client
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -16,14 +17,15 @@ import urllib.request
 import pytest
 
 from repro.runner import (EngineConfig, FaultPlan, FaultSpec, GridService,
-                          GridSpec, LeaseQueue, RequestError, RetryPolicy,
-                          ServiceClient, ServiceUnavailable, busy_stats,
-                          run_grid, work)
+                          GridSpec, JobCache, LeaseQueue, RequestError,
+                          RetryPolicy, ServiceClient, ServiceUnavailable,
+                          busy_stats, failed_jobs, merge_results, run_grid,
+                          work)
 from repro.runner import faults, leasequeue
+from repro.runner.engine import job_key
 from repro.runner.executor import backoff_delay
 from repro.runner.jobcache import connect_wal
-from repro.runner.service import (MAX_BODY_BYTES, SERVICE_WORKER,
-                                  ServiceError)
+from repro.runner.service import MAX_BODY_BYTES, ServiceError
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
                  seeds=(0, 1), sizes=(16,))
@@ -71,8 +73,8 @@ def make_service():
 
 def hit_specs(cache, n_grids):
     """``n_grids`` distinct two-job grids whose every job is already in
-    the job cache at ``cache``: submitting one writes only hit
-    envelopes and enqueues nothing."""
+    the job cache at ``cache``: submitting one stores only hit rows
+    and enqueues nothing."""
     specs = [GridSpec(scenarios=("diurnal",),
                       algorithms=("lcp", "threshold"),
                       seeds=(seed,), sizes=(16,))
@@ -223,9 +225,9 @@ class TestAdmissionBudget:
 
     def test_refused_submit_hits_merge_after_accepted_resubmit(
             self, tmp_path, make_service):
-        """A refused submit has already written its cache-hit rows; the
-        accepted resubmit writes them again, and the merge (deduped by
-        sequence number) is still bit-identical to a local run."""
+        """A refused submit leaves no grid and no hit row behind; the
+        accepted resubmit stores each cache-hit row exactly once, and
+        the merge is bit-identical to a local run."""
         cache = tmp_path / "cache"
         half = GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
                         seeds=(0, 1), sizes=(16,))
@@ -239,17 +241,18 @@ class TestAdmissionBudget:
         with pytest.raises(ServiceError) as exc_info:
             service.handle("POST", "/grids", SMALL.to_dict())
         assert exc_info.value.status == 429
+        queue = service._queue
+        assert not queue.has_grid(SMALL.cache_key())
+        assert list(queue.hit_rows(SMALL.cache_key())) == []
         work(tmp_path / "q", worker="w", config=EngineConfig(cache_dir=cache))
         status, payload, _ = service.handle("POST", "/grids",
                                             SMALL.to_dict())
         assert status == 202 and payload["enqueued"] == misses
+        assert len(list(queue.hit_rows(payload["grid"]))) == len(half)
         work(tmp_path / "q", worker="w", config=EngineConfig(cache_dir=cache))
         _, done, _ = service.handle("GET", f"/grids/{payload['grid']}")
         assert done["state"] == "done"
         assert done["rows"] == run_grid(SMALL)
-        hit_file = service._queue.worker_path(payload["grid"],
-                                              SERVICE_WORKER)
-        assert len(hit_file.read_text().splitlines()) == 2 * len(half)
 
 
 class TestOwnedConnection:
@@ -302,6 +305,8 @@ class TestOwnedConnection:
 
     def test_status_parses_only_its_own_grids_envelopes(
             self, tmp_path, make_service, monkeypatch):
+        """Polling one of 51 all-hit grids reads only that grid's
+        stored hit rows and parses no envelope file."""
         specs = hit_specs(tmp_path / "cache", 51)
         service = make_service(tmp_path / "q", cache_dir=tmp_path / "cache")
         for spec in specs:
@@ -315,12 +320,22 @@ class TestOwnedConnection:
                 parsed.append(env["grid"])
                 yield env
 
+        read = []
+        hit_rows = LeaseQueue.hit_rows
+
+        def recording(queue, grid_id):
+            for seq, row in hit_rows(queue, grid_id):
+                read.append(grid_id)
+                yield seq, row
+
         monkeypatch.setattr(leasequeue, "_iter_envelopes", counting)
+        monkeypatch.setattr(LeaseQueue, "hit_rows", recording)
         grid_id = specs[0].cache_key()
         _, payload, _ = service.handle("GET", f"/grids/{grid_id}")
         assert payload["state"] == "done"
         assert payload["rows"] == run_grid(specs[0])
-        assert parsed == [grid_id] * len(specs[0])
+        assert read == [grid_id] * len(specs[0])
+        assert parsed == []
 
     def test_unknown_grid_ids_touch_no_file(self, tmp_path, make_service,
                                             monkeypatch):
@@ -421,11 +436,81 @@ class TestCacheProbingSubmit:
              config=EngineConfig(cache_dir=tmp_path / "cache"))
         _, done, _ = service.handle(
             "GET", f"/grids/{payload['grid']}", None)
+        expected = run_grid(SMALL)
         assert done["state"] == "done"
-        assert done["rows"] == run_grid(SMALL)
-        # the hits came through the synthetic service worker file
-        assert service._queue.worker_path(payload["grid"],
-                                          SERVICE_WORKER).exists()
+        assert done["rows"] == expected
+        # the hits came from queue.db; the grid's directory holds only
+        # the worker's envelopes
+        stored = dict(service._queue.hit_rows(payload["grid"]))
+        assert len(stored) == len(half)
+        assert all(row == expected[seq] for seq, row in stored.items())
+        grid_dir = service._queue.results_dir / payload["grid"]
+        assert [p.name for p in grid_dir.iterdir()] == ["w.jsonl"]
+
+    def test_all_hit_submit_makes_no_fsync_and_no_grid_directory(
+            self, tmp_path, make_service, monkeypatch):
+        """An all-hit submit is one durable queue COMMIT: no envelope
+        file is written or fsynced, and no ``results/<grid_id>``
+        directory appears."""
+        run_grid(SMALL, EngineConfig(cache_dir=tmp_path / "cache"))
+        service = make_service(tmp_path / "q",
+                               cache_dir=tmp_path / "cache")
+        fsyncs = []
+        fsync = os.fsync
+
+        def counting(fd):
+            fsyncs.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        _, payload, _ = service.handle("POST", "/grids", SMALL.to_dict())
+        assert payload["cache_hits"] == len(SMALL)
+        assert fsyncs == []
+        assert not (service._queue.results_dir / payload["grid"]).exists()
+        assert len(list(service._queue.hit_rows(payload["grid"]))) == \
+            len(SMALL)
+
+    def test_all_hit_grid_merges_like_run_grid(self, tmp_path,
+                                               make_service):
+        local = run_grid(SMALL, EngineConfig(cache_dir=tmp_path / "cache"))
+        service = make_service(tmp_path / "q",
+                               cache_dir=tmp_path / "cache")
+        _, payload, _ = service.handle("POST", "/grids", SMALL.to_dict())
+        assert payload["enqueued"] == 0
+        merged = merge_results(tmp_path / "q", payload["grid"])
+        assert merged == local == run_grid(SMALL)
+        assert failed_jobs(tmp_path / "q", payload["grid"]) == {}
+
+    def test_older_service_hit_envelopes_still_poll_and_merge(
+            self, tmp_path, make_service):
+        """A grid served before hit rows moved into ``queue.db`` keeps
+        them in ``results/<grid_id>/service.jsonl``; it still polls and
+        merges bit-identically."""
+        cache = tmp_path / "cache"
+        run_grid(GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                          seeds=(0, 1), sizes=(16,)),
+                 EngineConfig(cache_dir=cache))
+        probe = JobCache(cache)
+        hits = {seq: row for seq, job in enumerate(SMALL.iter_jobs())
+                if (row := probe.get("jobs", job_key(job))) is not None}
+        assert 0 < len(hits) < len(SMALL)
+        queue = LeaseQueue(tmp_path / "q")
+        grid_id = queue.enqueue(SMALL, jobs=[
+            seq for seq in range(len(SMALL)) if seq not in hits])
+        legacy = queue.worker_path(grid_id, "service")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text("".join(
+            json.dumps({"seq": seq, "grid": grid_id, "row": hits[seq]},
+                       sort_keys=True) + "\n" for seq in sorted(hits)))
+        queue.close()
+        work(tmp_path / "q", worker="w", config=EngineConfig(cache_dir=cache))
+        service = make_service(tmp_path / "q", cache_dir=cache)
+        expected = run_grid(SMALL)
+        _, done, _ = service.handle("GET", f"/grids/{grid_id}")
+        assert done["state"] == "done"
+        assert done["rows"] == expected
+        assert merge_results(tmp_path / "q", grid_id) == expected
+        assert list(service._queue.hit_rows(grid_id)) == []
 
     def test_degraded_state_when_worker_fleet_dies(
             self, tmp_path, make_service):

@@ -67,6 +67,21 @@ class TestMechanics:
             x = algo.step(inst.F[t])
             assert x == pytest.approx(algo.thresholds.sum())
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 40])
+    def test_run_table_leaves_the_stepped_profile(self, m):
+        """The whole-table path ends on the very threshold profile,
+        state and x-bar bytes that stepping row by row reaches."""
+        rng = np.random.default_rng(110 + m)
+        inst = random_convex_instance(rng, 60, m, 0.7)
+        stepped, table = ThresholdFractional(), ThresholdFractional()
+        stepped.reset(inst.m, inst.beta)
+        table.reset(inst.m, inst.beta)
+        xs = np.array([stepped.step(inst.F[t]) for t in range(inst.T)])
+        assert table.run_table(inst.F).tobytes() == xs.tobytes()
+        assert table.thresholds.tobytes() == stepped.thresholds.tobytes()
+        assert table.state == stepped.state
+        assert xs.max() > 0.0  # the profile did move
+
     def test_charge_half_step_size(self):
         """A hinge of slope eps moves each charged threshold by eps/beta
         (= eps/2 for beta = 2, the paper's algorithm-B step)."""
