@@ -5,18 +5,13 @@ evaluated by a user function returning a dict of measurements, and the
 results are collected as a list of flat row dicts ready for
 :mod:`repro.analysis.tables`.
 
-Evaluation rides the batch engine's shared pipelined executor
-(:func:`repro.runner.executor.run_pipeline` — the same
-double-buffer / in-order-drain loop ``run_grid`` runs on): an
-``EngineConfig`` with ``n_jobs > 1`` fans grid points out over the
-engine's *persistent* process pool (the function must then be
-picklable, i.e. module-level) in fused chunks — several points per
-worker round-trip — and up to ``pipeline_depth`` batches stay in
-flight, so the pool keeps working while the parent flushes finished
-batches' rows to the sink.  The
-pool is shared with ``run_grid`` and ``repro lowerbound`` and survives
-across sweeps, so many small sweeps don't pay a pool fork each.
-A ``cache_dir`` (a directory, or a ready-made
+Points are evaluated one batch at a time: the batch's uncached points
+go through one :func:`repro.runner.executor.parallel_map` call, so an
+``EngineConfig`` with ``n_jobs > 1`` fans them out over the engine's
+*persistent* process pool (the function must then be picklable, i.e.
+module-level).  The pool is shared with ``run_grid`` and ``repro
+lowerbound`` and survives across sweeps, so many small sweeps don't
+pay a pool fork each.  A ``cache_dir`` (a directory, or a ready-made
 :class:`~repro.runner.jobcache.JobCache` — e.g. one opened on the
 SQLite backend) stores each point's measurements in the engine's
 per-job content-addressed cache, keyed by the function's qualified name
@@ -29,13 +24,12 @@ For named (scenario x algorithm) grids with ratio aggregation, prefer
 
 from __future__ import annotations
 
+import functools
 import itertools
-from concurrent.futures import Future
 from typing import Callable, Mapping, Sequence
 
-from ..runner.executor import (EngineConfig, PipelineBatch, RunStats,
-                               chunk_list, iter_batches, run_args,
-                               run_pipeline, submit_task)
+from ..runner.executor import (EngineConfig, RunStats, iter_batches,
+                               parallel_map, run_args)
 from ..runner.jobcache import JobCache, content_key, jsonify
 
 __all__ = ["sweep"]
@@ -44,15 +38,10 @@ __all__ = ["sweep"]
 _SWEEP_CACHE_VERSION = 1
 
 
-class _EvalChunk:
-    """Picklable fused evaluator: one worker round-trip runs a whole
-    chunk of grid points through ``fn(**point)``."""
-
-    def __init__(self, fn: Callable[..., Mapping]):
-        self.fn = fn
-
-    def __call__(self, points: list[dict]) -> list[dict]:
-        return [dict(self.fn(**point)) for point in points]
+def _evaluate(fn: Callable[..., Mapping], point: dict) -> dict:
+    """One grid point's measurements (module-level, so a
+    ``functools.partial`` of it pickles whenever ``fn`` does)."""
+    return dict(fn(**point))
 
 
 def _point_key(fn: Callable, point: dict) -> str:
@@ -69,79 +58,6 @@ def _point_key(fn: Callable, point: dict) -> str:
                         "fn": fn_id, "point": point})
 
 
-class _SweepBatch(PipelineBatch):
-    """One admitted batch of sweep points on the shared executor.
-
-    ``advance`` harvests finished chunk futures — canonicalizing each
-    measurement through the JSON form when caching, so hit and miss
-    rows are indistinguishable, and writing the per-point cache the
-    moment a chunk lands (a killed sweep must not recompute points it
-    already paid for).  ``flush`` merges points with measurements and
-    writes the sink in grid-product order; ``salvage`` persists
-    completed-but-unharvested chunks on abort.
-    """
-
-    __slots__ = ("cache", "sink", "batch", "size", "results", "futures")
-
-    def __init__(self, cache, sink, batch: list,
-                 futures: list[tuple[list, Future]]):
-        self.cache = cache
-        self.sink = sink
-        self.batch = batch
-        self.size = len(batch)
-        self.results: list = [None] * len(batch)
-        self.futures = futures
-
-    def _harvest(self, chunk, future) -> None:
-        for (i, _point, key), result in zip(chunk, future.result()):
-            self.results[i] = (jsonify(result) if self.cache is not None
-                               else result)
-            if self.cache is not None:
-                self.cache.put("sweep", key, result)
-
-    def advance(self) -> bool:
-        progressed = False
-        remaining = []
-        for chunk, future in self.futures:
-            if not future.done():
-                remaining.append((chunk, future))
-                continue
-            self._harvest(chunk, future)
-            progressed = True
-        self.futures = remaining
-        return progressed
-
-    def done(self) -> bool:
-        return not self.futures
-
-    def unfinished_futures(self) -> list[Future]:
-        return [f for _c, f in self.futures if not f.done()]
-
-    def flush(self) -> int:
-        for point, result in zip(self.batch, self.results):
-            clash = set(point) & set(result)
-            if clash:
-                raise ValueError(
-                    f"measurement keys collide with grid: {clash}")
-            self.sink.write({**point, **result})
-        return len(self.batch)
-
-    def flushable(self) -> bool:
-        return all(r is not None for r in self.results)
-
-    def salvage(self) -> None:
-        remaining = []
-        for chunk, future in self.futures:
-            if not (future.done() and not future.cancelled()):
-                remaining.append((chunk, future))
-                continue
-            try:
-                self._harvest(chunk, future)
-            except Exception:
-                remaining.append((chunk, future))
-        self.futures = remaining
-
-
 def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
           config: EngineConfig | None = None, *,
           stats: RunStats | None = None):
@@ -149,34 +65,40 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
 
     ``grid`` maps parameter names to value lists; the returned rows merge
     the grid point with ``fn``'s measurement dict (measurements win on
-    key collisions being forbidden).  Execution is configured by
-    ``config``, an :class:`~repro.runner.executor.EngineConfig`
-    (``None`` = the defaults; ``store_dir``, ``force`` and the retry
-    fields do not apply to sweeps).  ``n_jobs > 1`` evaluates points on
-    the persistent process pool; row order is always the grid-product
-    order.  With ``cache_dir``, previously evaluated points are read
-    back from the per-point cache.  ``stats`` is a
-    :class:`~repro.runner.executor.RunStats` whose ``hits`` /
-    ``misses`` and scheduler counters accumulate in place; a
-    ``config`` or ``stats`` of any other type raises
-    :class:`TypeError` before the sink is opened.
+    key collisions being forbidden).  Row order is always the
+    grid-product order.
 
-    Like :func:`repro.runner.run_grid`, a sweep streams *and
-    pipelines* — on the same shared scheduling loop
-    (:func:`repro.runner.executor.run_pipeline`): points run in bounded
-    batches of ``batch_size`` (``None`` = one batch) dispatched as
-    fused chunks of ``chunk_jobs`` (``None`` auto-sizes), up to
-    ``pipeline_depth`` batches stay in flight on the pool, and rows
-    flow into a :mod:`repro.runner.sinks` ``sink`` — always in
-    grid-product order — as each batch finishes.  The default
-    ``sink=None`` collects and returns the historical ``list[dict]``;
-    a file-backed sink keeps parent memory at O(depth x batch) and
-    ``sweep`` returns ``sink.result()``.
+    Execution is configured by ``config``, an
+    :class:`~repro.runner.executor.EngineConfig` (``None`` = the
+    defaults), of which four fields apply to sweeps:
+
+    * ``n_jobs`` — ``> 1`` evaluates a batch's points on the persistent
+      process pool;
+    * ``cache_dir`` — previously evaluated points are read back from
+      the per-point cache, and new ones written to it;
+    * ``batch_size`` — points run in bounded batches (``None`` = one
+      batch);
+    * ``sink`` — a :mod:`repro.runner.sinks` sink the rows flow into
+      as each batch finishes.  The default ``sink=None`` collects and
+      returns the historical ``list[dict]``; a file-backed sink keeps
+      parent memory at O(batch) and ``sweep`` returns
+      ``sink.result()``.
+
+    ``store_dir``, ``force``, ``pipeline_depth``, ``chunk_jobs``, the
+    retry fields and ``fault_plan`` do not apply to sweeps (they are
+    still validated).  Each batch's new measurements are cached before
+    its first row reaches the sink, so a sweep killed while writing
+    resumes without recomputing them; when ``fn`` raises, the sweep
+    stops and the failing batch's uncached points are lost.
+
+    ``stats`` is a :class:`~repro.runner.executor.RunStats` whose
+    ``hits`` / ``misses``, ``batches`` and ``rows_written`` accumulate
+    in place; a ``config`` or ``stats`` of any other type raises
+    :class:`TypeError`, and a non-positive batch, depth or chunk size
+    :class:`ValueError`, before the sink is opened.
     """
     from ..runner.sinks import ListSink
     config, run_stats = run_args(config, stats)
-    if config.pipeline_depth < 1:
-        raise ValueError("pipeline_depth must be >= 1")
     names = list(grid.keys())
     points = (dict(zip(names, values))
               for values in itertools.product(*(grid[n] for n in names)))
@@ -184,35 +106,34 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
              else JobCache(config.cache_dir)
              if config.cache_dir is not None else None)
     sink = ListSink() if config.sink is None else config.sink
-
-    def plan(batch: list) -> _SweepBatch:
-        pending: list[tuple[int, dict, str]] = []
-        results_known: list[tuple[int, dict]] = []
-        for i, point in enumerate(batch):
-            key = _point_key(fn, point) if cache is not None else ""
-            cached = (cache.get("sweep", key)
-                      if cache is not None else None)
-            if cached is not None:
-                results_known.append((i, cached))
-                run_stats.hits += 1
-            else:
-                pending.append((i, point, key))
-        run_stats.misses += len(pending)
-        futures = [
-            (chunk, submit_task(_EvalChunk(fn),
-                                [p for _, p, _ in chunk], config.n_jobs))
-            for chunk in chunk_list(pending, config.n_jobs,
-                                    config.chunk_jobs)]
-        st = _SweepBatch(cache, sink, batch, futures)
-        for i, cached in results_known:
-            st.results[i] = cached
-        return st
-
+    evaluate = functools.partial(_evaluate, fn)
     sink.open()
     try:
-        run_pipeline(iter_batches(points, config.batch_size), plan,
-                     pipeline_depth=config.pipeline_depth,
-                     stats=run_stats)
+        for batch in iter_batches(points, config.batch_size):
+            run_stats.batches += 1
+            results: list = [None] * len(batch)
+            if cache is not None:
+                keys = [_point_key(fn, point) for point in batch]
+                results = [cache.get("sweep", key) for key in keys]
+            misses = [i for i, result in enumerate(results)
+                      if result is None]
+            run_stats.hits += len(batch) - len(misses)
+            run_stats.misses += len(misses)
+            measured = parallel_map(evaluate, [batch[i] for i in misses],
+                                    config.n_jobs)
+            for i, result in zip(misses, measured):
+                if cache is not None:
+                    cache.put("sweep", keys[i], result)
+                    # the JSON form, so hit and miss rows are identical
+                    result = jsonify(result)
+                results[i] = result
+            for point, result in zip(batch, results):
+                clash = set(point) & set(result)
+                if clash:
+                    raise ValueError(
+                        f"measurement keys collide with grid: {clash}")
+                sink.write({**point, **result})
+            run_stats.rows_written += len(batch)
     finally:
         sink.close()
     return sink.result()

@@ -8,18 +8,18 @@ The runner is the substrate every large-scale experiment stands on:
 * :mod:`repro.runner.scenarios` — one named catalog of workload
   scenarios: the trace families of the experimental evaluation plus
   adversarial, random-convex and heterogeneous-cost instances.
-* :mod:`repro.runner.executor` — the shared pipelined batch executor:
-  the persistent process pool, the :class:`EngineConfig` /
-  :class:`RunStats` value objects and the one double-buffer /
-  in-order-drain scheduling loop (:func:`run_pipeline`) the engine,
-  ``analysis/sweep`` and the lease-queue worker all run on.
+* :mod:`repro.runner.executor` — the execution substrate: the
+  persistent process pool (:func:`parallel_map`, task submission) and
+  the :class:`EngineConfig` / :class:`RunStats` value objects the
+  engine, ``analysis/sweep`` and the lease-queue worker all take.
 * :mod:`repro.runner.engine` — expands a :class:`GridSpec` of
   (scenario x algorithm x seed x size) into jobs, groups them by
   instance and hands whole instances to one worker task kind —
   in-process or on a persistent process pool — that materializes the
   instance once, solves its offline optimum once and runs every
-  pending job on it with deterministic per-job seeding; then
-  aggregates competitive ratios.
+  pending job on it with deterministic per-job seeding, keeping up to
+  ``pipeline_depth`` batches in flight; then aggregates competitive
+  ratios.
 * :mod:`repro.runner.leasequeue` — multi-host execution: a WAL-mode
   SQLite lease queue workers claim contiguous job ranges from
   (heartbeat, expiry, reclaim), plus the :func:`merge_results` step
@@ -45,8 +45,7 @@ The runner is the substrate every large-scale experiment stands on:
 from .client import RequestError, ServiceClient, ServiceUnavailable
 from .engine import (GridSpec, aggregate_rows, instance_key, job_key,
                      run_grid)
-from .executor import (EngineConfig, PipelineBatch, RetryPolicy,
-                       RunStats, parallel_map, run_pipeline,
+from .executor import (EngineConfig, RetryPolicy, RunStats, parallel_map,
                        shutdown_pool)
 from .faults import FaultPlan, FaultSpec, InjectedFault
 from .instancestore import InstanceStore, get_instance
@@ -75,8 +74,8 @@ __all__ = [
     "GridSpec", "InstanceStore", "JobCache", "aggregate_rows",
     "busy_stats", "get_instance", "instance_key", "job_key",
     "migrate_cache", "run_grid", "with_busy_retry",
-    "EngineConfig", "PipelineBatch", "RetryPolicy", "RunStats",
-    "parallel_map", "run_pipeline", "shutdown_pool",
+    "EngineConfig", "RetryPolicy", "RunStats", "parallel_map",
+    "shutdown_pool",
     "FaultPlan", "FaultSpec", "InjectedFault",
     "Lease", "LeaseLost", "LeaseQueue", "failed_jobs", "grid_status",
     "merge_results", "retry_failed", "work",

@@ -33,20 +33,17 @@ and each job's row is written to the per-job cache the moment its task
 is harvested — so a killed grid resumes from the cache paying only the
 jobs it never finished.
 
-The double-buffer / in-order-drain scheduling itself lives in
-:mod:`repro.runner.executor` (:func:`~repro.runner.executor.\
-run_pipeline`), shared with :func:`repro.analysis.sweep.sweep` and the
-multi-host lease-queue worker loop: this module contributes the grid
-*consumer* — one plan step and one harvest step per batch
-(:class:`_GridRun`).  Up to ``pipeline_depth`` batches are in flight
-at once, so while batch N's tasks run the parent already plans batch
-N+1 — workers never idle waiting for the parent.  At most one
-in-flight task holds any one instance: a batch boundary that cuts an
-instance's jobs makes the later group wait for the earlier task's
-harvest, then reuse its optimum and stored payload.  The
-``overlapped_batches`` and ``inflight_max`` stats counters prove the
-overlap (both stay at 0/1 on the in-process path, where each batch
-completes synchronously).
+The double-buffer / in-order-drain window is :class:`_GridRun`'s (the
+multi-host lease-queue worker replays each leased range through
+:func:`run_grid`, so it runs on the same window).  Up to
+``pipeline_depth`` batches are in flight at once, so while batch N's
+tasks run the parent already admits batch N+1 — workers never idle
+waiting for the parent.  At most one in-flight task holds any one
+instance: a batch boundary that cuts an instance's jobs makes the
+later group wait for the earlier task's harvest, then reuse its
+optimum and stored payload.  The ``overlapped_batches`` and
+``inflight_max`` stats counters prove the overlap (both stay at 0/1 on
+the in-process path, where each batch completes synchronously).
 
 Three properties make this the substrate for every large experiment:
 
@@ -93,15 +90,14 @@ import json
 import os
 import traceback
 import zlib
-from concurrent.futures import Future
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from .. import kernels
 from . import faults, instancestore, jobcache
-from .executor import (EngineConfig, PipelineBatch, RetryPolicy, RunStats,
-                       chunk_list, iter_batches, parallel_map,
-                       pool_generation, respawn_pool, retry_sleep,
-                       run_args, run_pipeline, shutdown_pool, submit_task)
+from .executor import (EngineConfig, RetryPolicy, RunStats, iter_batches,
+                       parallel_map, pool_generation, respawn_pool,
+                       retry_sleep, run_args, shutdown_pool, submit_task)
 from .instancestore import InstanceStore, get_instance
 from .jobcache import JobCache, content_key
 from .sinks import ListSink
@@ -781,63 +777,72 @@ class _RecordWindow:
             self._data.popitem(last=False)
 
 
-class _BatchState(PipelineBatch):
-    """One admitted batch: its rows, its in-flight worker tasks and the
-    instance groups still waiting for an earlier batch's task.
+def chunk_list(items, n_jobs: int, chunk_jobs: int | None,
+               weight=None) -> list[list]:
+    """Split ``items`` into contiguous chunks of about ``chunk_jobs``
+    jobs for fused dispatch.
 
-    The plan and harvest steps live on the owning :class:`_GridRun`;
-    this object holds the per-batch bookkeeping and satisfies the
-    :class:`~repro.runner.executor.PipelineBatch` contract the shared
-    scheduler drives.  A *group* is ``(coords, items)``: one instance's
-    coordinates and its pending ``(position, job, key)`` items.
+    ``weight(item)`` is the number of jobs an item carries (default 1);
+    a chunk closes once it holds ``chunk_jobs`` jobs, so chunks round
+    up to whole items.  ``chunk_jobs=None`` auto-sizes: in-process
+    everything fuses into one chunk (maximal sharing, no IPC to
+    amortize anyway); on the pool roughly two chunks per worker balance
+    round-trip amortization against load balancing.  ``chunk_jobs=1``
+    gives one item per chunk.
+    """
+    items = list(items)
+    weights = [1 if weight is None else weight(item) for item in items]
+    if chunk_jobs is not None:
+        size = chunk_jobs
+    elif n_jobs <= 1:
+        size = sum(weights)
+    else:
+        size = -(-sum(weights) // (2 * n_jobs))
+    chunks: list[list] = []
+    chunk: list = []
+    filled = 0
+    for item, w in zip(items, weights):
+        chunk.append(item)
+        filled += w
+        if filled >= size:
+            chunks.append(chunk)
+            chunk, filled = [], 0
+    if chunk:
+        chunks.append(chunk)
+    return chunks
+
+
+@dataclasses.dataclass
+class _BatchState:
+    """One admitted batch: its rows (``None`` until known), its
+    submitted, unharvested worker tasks ``(groups, payload, future)``
+    and the groups whose instance an earlier batch's task still holds.
+
+    A *group* is ``(coords, items)``: one instance's coordinates and
+    its pending ``(position, job, key)`` items.
     """
 
-    __slots__ = ("run", "size", "rows", "tasks", "waiting")
+    rows: list
+    tasks: list = dataclasses.field(default_factory=list)
+    waiting: list = dataclasses.field(default_factory=list)
 
-    def __init__(self, run: "_GridRun", size: int):
-        self.run = run
-        self.size = size
-        self.rows: list = [None] * size
-        #: submitted, unharvested tasks: ``(groups, payload, future)``
-        self.tasks: list[tuple[list, list, Future]] = []
-        #: groups whose instance an earlier batch's task still holds
-        self.waiting: list[tuple[tuple, list]] = []
 
-    def advance(self) -> bool:
-        return self.run.advance(self)
-
-    def done(self) -> bool:
-        return not (self.tasks or self.waiting)
-
-    def unfinished_futures(self) -> list[Future]:
-        """Futures the scheduler may need to block on."""
-        return [f for _g, _p, f in self.tasks if not f.done()]
-
-    def all_futures(self) -> list[Future]:
-        return [f for _g, _p, f in self.tasks]
-
-    def flush(self) -> int:
-        self.run.sink.write_many(self.rows)
-        return len(self.rows)
-
-    def flushable(self) -> bool:
-        return all(r is not None for r in self.rows)
-
-    def salvage(self) -> None:
-        self.run.salvage(self)
+def _unfinished(st: _BatchState) -> list[Future]:
+    """The batch's submitted futures that have not finished yet."""
+    return [f for _g, _p, f in st.tasks if not f.done()]
 
 
 class _GridRun:
-    """Shared context of one :func:`run_grid` call.
+    """One :func:`run_grid` call's double-buffered batch window.
 
-    The grid *consumer* of :func:`~repro.runner.executor.run_pipeline`:
-    plans each admitted batch (job-cache lookups, grouping by instance,
-    task submission) and harvests its tasks' envelopes, sharing the
-    optimum window and the set of instances held by in-flight tasks
-    across the whole run.  At most one in-flight task holds any one
-    instance: a group whose instance is still in an earlier batch's
-    unharvested task waits until that task is harvested, and then
-    finds its optimum in the window and its payload in the store.
+    Admits batches (job-cache lookups, grouping by instance, task
+    submission), harvests their tasks' envelopes and flushes each
+    completed batch to the sink in admission order, sharing the optimum
+    window and the set of instances held by in-flight tasks across the
+    whole run.  At most one in-flight task holds any one instance: a
+    group whose instance is still in an earlier batch's unharvested
+    task waits until that task is harvested, and then finds its optimum
+    in the window and its payload in the store.
     """
 
     def __init__(self, config: EngineConfig, cache, sink,
@@ -861,6 +866,129 @@ class _GridRun:
         #: across runs — the lease-queue worker reuses one RunStats —
         #: so the per-run bound needs its own counter)
         self.pool_restarts = 0
+        #: admitted, unflushed batches, oldest first
+        self.inflight: collections.deque[_BatchState] = collections.deque()
+        #: False once the sink itself refused rows
+        self.sink_ok = True
+
+    def execute(self, batches) -> None:
+        """Drive ``batches`` (lists of jobs) through the window.
+
+        Up to ``pipeline_depth`` batches are in flight: while the head
+        batch's tasks run, later batches are already admitted and
+        submitting work, and each completed head flushes — in admission
+        order — before any later batch.  When no batch progresses, the
+        parent blocks on the union of unfinished futures
+        (``FIRST_COMPLETED``).  On any exception (including
+        ``KeyboardInterrupt``) the window is drained (:meth:`drain`).
+        """
+        batches = iter(batches)
+        exhausted = False
+        try:
+            while True:
+                while (not exhausted
+                       and len(self.inflight) < self.config.pipeline_depth):
+                    batch = next(batches, None)
+                    if batch is None:
+                        exhausted = True
+                    else:
+                        self.admit(batch)
+                if not self.inflight:
+                    break
+                if not self.pump():
+                    futures = [f for st in self.inflight
+                               for f in _unfinished(st)]
+                    if not futures:  # pragma: no cover - defensive
+                        raise RuntimeError("pipeline stalled without "
+                                           "outstanding work")
+                    wait(futures, return_when=FIRST_COMPLETED)
+        except BaseException:
+            self.drain()
+            raise
+
+    def admit(self, batch: list) -> None:
+        """Admit one batch: job-cache lookups, then group the pending
+        jobs by instance (first-appearance order) and submit them.
+
+        Counts ``overlapped_batches`` (admitted while an earlier batch
+        still had unfinished futures), ``batches``, ``inflight_max`` and
+        ``max_pending`` (peak pending rows across the window)."""
+        stats = self.stats
+        if any(_unfinished(st) for st in self.inflight):
+            stats.overlapped_batches += 1
+        stats.batches += 1
+        st = _BatchState([None] * len(batch))
+        cache, force = self.cache, self.force
+        groups: dict[tuple, list] = {}
+        for i, job in enumerate(batch):
+            key = job_key(job)
+            row = (cache.get("jobs", key)
+                   if cache is not None and not force else None)
+            if row is not None:
+                st.rows[i] = row
+                stats.job_hits += 1
+            else:
+                groups.setdefault(_instance_coords(job), []).append(
+                    (i, job, key))
+                stats.job_misses += 1
+        self.window.fit(len(groups) * self.config.pipeline_depth)
+        st.waiting = list(groups.items())
+        self._submit_ready(st)
+        self.inflight.append(st)
+        stats.merge_max("inflight_max", len(self.inflight))
+        stats.merge_max("max_pending",
+                        sum(len(b.rows) for b in self.inflight))
+        self.pump()
+
+    def pump(self) -> bool:
+        """Advance every in-flight batch, then flush completed heads in
+        admission order (the sink sees rows in job order); True on
+        progress."""
+        progressed = False
+        for st in list(self.inflight):
+            while self._advance(st):
+                progressed = True
+        while (self.inflight
+               and not (self.inflight[0].tasks or self.inflight[0].waiting)):
+            self.flush_head()
+            progressed = True
+        return progressed
+
+    def flush_head(self) -> None:
+        """Write the oldest batch's rows to the sink."""
+        st = self.inflight.popleft()
+        try:
+            self.sink.write_many(st.rows)
+        except BaseException:
+            # a sink that refuses rows must stop ALL flushing — the
+            # abort drain must not write later batches after a torn
+            # one (kill+resume relies on a clean row prefix)
+            self.sink_ok = False
+            raise
+        self.stats.rows_written += len(st.rows)
+
+    def drain(self) -> None:
+        """Abort path: cancel every future, harvest tasks that finished
+        but were never harvested (so a killed grid does not recompute
+        work it already paid for), then flush the completed head
+        batches in order — unless the sink itself failed."""
+        for st in self.inflight:
+            for _groups, _payload, future in st.tasks:
+                future.cancel()
+        for st in self.inflight:   # best-effort: finished tasks still count
+            try:
+                for groups, _payload, future in st.tasks:
+                    if (future.done() and not future.cancelled()
+                            and future.exception() is None):
+                        self._harvest(st, groups, future.result())
+            except Exception:
+                pass
+        while (self.sink_ok and self.inflight
+               and all(r is not None for r in self.inflight[0].rows)):
+            try:
+                self.flush_head()
+            except BaseException:
+                break
 
     def _submit(self, payload: list) -> Future:
         """Submit one task, recording the pool generation so a later
@@ -916,28 +1044,6 @@ class _GridRun:
                 self.stats.opt_hits += 1
         return rec
 
-    def plan(self, batch: list) -> _BatchState:
-        """Admit one batch: job-cache lookups, then group the pending
-        jobs by instance (first-appearance order) and submit them."""
-        st = _BatchState(self, len(batch))
-        cache, force = self.cache, self.force
-        groups: dict[tuple, list] = {}
-        for i, job in enumerate(batch):
-            key = job_key(job)
-            row = (cache.get("jobs", key)
-                   if cache is not None and not force else None)
-            if row is not None:
-                st.rows[i] = row
-                self.stats.job_hits += 1
-            else:
-                groups.setdefault(_instance_coords(job), []).append(
-                    (i, job, key))
-                self.stats.job_misses += 1
-        self.window.fit(len(groups) * self.config.pipeline_depth)
-        st.waiting = list(groups.items())
-        self._submit_ready(st)
-        return st
-
     def _submit_ready(self, st: _BatchState) -> bool:
         """Pack the batch's groups whose instance no in-flight task
         holds into tasks of ``chunk_jobs`` jobs (rounded up to whole
@@ -956,7 +1062,7 @@ class _GridRun:
             st.tasks.append((groups, payload, self._submit(payload)))
         return True
 
-    def advance(self, st: _BatchState) -> bool:
+    def _advance(self, st: _BatchState) -> bool:
         """Harvest the batch's finished tasks, then submit its groups
         that were waiting on them; True on progress."""
         progressed = False
@@ -1010,15 +1116,6 @@ class _GridRun:
         for name, delta in env["counters"].items():
             setattr(self.stats, name, getattr(self.stats, name) + delta)
 
-    def salvage(self, st: _BatchState) -> None:
-        """Abort path: harvest tasks that finished but were never
-        harvested, so completed head batches still flush and a killed
-        grid does not recompute work it already paid for."""
-        for groups, _payload, future in st.tasks:
-            if (future.done() and not future.cancelled()
-                    and future.exception() is None):
-                self._harvest(st, groups, future.result())
-
 
 def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
              stats: RunStats | None = None,
@@ -1038,11 +1135,11 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     observed peak) and ``run_grid`` returns ``sink.result()``.
 
     With ``n_jobs > 1`` batches are *double-buffered* on the persistent
-    pool (:func:`~repro.runner.executor.run_pipeline` — the scheduling
-    loop shared with ``analysis/sweep`` and the lease-queue worker):
-    up to ``pipeline_depth`` batches are in flight, so batch N+1's
-    tasks are submitted while batch N's still run — the pool stays
-    saturated end to end instead of idling at a barrier per batch.
+    pool (:class:`_GridRun`'s window, which the lease-queue worker runs
+    on too): up to ``pipeline_depth`` batches are in flight, so batch
+    N+1's tasks are submitted while batch N's still run — the pool
+    stays saturated end to end instead of idling at a barrier per
+    batch.
     Each worker task takes whole instances (materialize, solve, run
     every pending job of the batch on it); ``chunk_jobs`` jobs, rounded
     up to whole instances, ride one worker round-trip (``None``
@@ -1086,8 +1183,8 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     and the sweep-memo counters ``sweep_memo_hits`` /
     ``sweep_memo_misses`` — these five summed over every process that
     ran a task, pool workers included.  A ``config`` or ``stats`` of
-    any other type, or a ``chunk_jobs`` below 1, raises before the
-    sink is opened.
+    any other type, or a ``batch_size``, ``pipeline_depth`` or
+    ``chunk_jobs`` below 1, raises before the sink is opened.
     """
     config, run_stats = run_args(config, stats)
     cache = (config.cache_dir if isinstance(config.cache_dir, JobCache)
@@ -1096,8 +1193,6 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     store_root = (None if config.store_dir is None
                   else str(config.store_dir))
     _validate_pipelines(spec)
-    if config.pipeline_depth < 1:
-        raise ValueError("pipeline_depth must be >= 1")
     jobs = spec.iter_jobs()
     if job_slice is not None:
         start, stop = job_slice
@@ -1122,9 +1217,7 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
         shutdown_pool()
     sink.open(spec.to_dict())
     try:
-        run_pipeline(batches_iter, run.plan,
-                     pipeline_depth=config.pipeline_depth,
-                     stats=run_stats)
+        run.execute(batches_iter)
     finally:
         sink.close()
         if fault_plan is not None:

@@ -1,70 +1,51 @@
-"""Reusable pipelined batch executor: one double-buffer/drain loop.
+"""Execution substrate shared by every run entry point.
 
-Historically :func:`repro.runner.engine.run_grid` and
-:func:`repro.analysis.sweep.sweep` each carried their own copy of the
-same scheduling loop: admit bounded batches of work, keep up to
-``pipeline_depth`` of them in flight on the persistent process pool,
-flush each completed batch's rows to the result sink *in admission
-order*, and — on abort — cancel outstanding futures, persist the
-chunks that did finish to the job cache, and still flush fully
-completed head batches so a killed run keeps a clean row prefix.
-
-This module is that loop, factored once:
-
-* :class:`PipelineBatch` — the consumer contract: one admitted batch's
-  stage machine (``advance``/``done``), the futures the scheduler may
-  block on, in-order ``flush`` to the sink, and best-effort
-  ``salvage`` of completed work on abort.
-* :func:`run_pipeline` — the scheduler: pulls batches from a lazy
-  iterator through a ``plan`` callback, bounds in-flight depth, pumps
-  stage machines, flushes done heads in order, and drains on any
-  exception.  The ``overlapped_batches`` / ``inflight_max`` /
-  ``max_pending`` counters that prove overlap and O(batch) parent
-  memory are maintained here, identically for every consumer.
-* :class:`EngineConfig` / :class:`RunStats` — the shared execution
-  configuration and the typed stats counters all consumers report.
+* :class:`EngineConfig` / :class:`RunStats` — the execution
+  configuration and the typed stats counters that
+  :func:`~repro.runner.engine.run_grid`,
+  :func:`~repro.analysis.sweep.sweep` and the lease-queue worker loop
+  (:func:`~repro.runner.leasequeue.work`) take and report;
+  :func:`run_args` validates both before any sink, cache or queue
+  opens.
+* :class:`RetryPolicy` — worker-side backoff for failing jobs.
 * The persistent module-level :class:`~concurrent.futures.\
 ProcessPoolExecutor` (fork-else-spawn, grown never shrunk), with
-  :func:`submit_task` (inline for ``n_jobs <= 1``), fused
-  :func:`chunk_list` dispatch and eager-validating :func:`iter_batches`.
+  :func:`submit_task` (inline for ``n_jobs <= 1``), the
+  order-preserving :func:`parallel_map` and eager-validating
+  :func:`iter_batches`.
 
-Consumers: the grid engine (:mod:`repro.runner.engine`), the parameter
-sweep (:mod:`repro.analysis.sweep`) and the multi-host lease-queue
-worker loop (:mod:`repro.runner.leasequeue`), which replays leased job
-ranges through :func:`~repro.runner.engine.run_grid` on this loop.
+The grid engine keeps its own double-buffered batch window
+(:class:`repro.runner.engine._GridRun`) on :func:`submit_task`;
+``analysis.sweep`` evaluates one batch at a time with
+:func:`parallel_map`.
 """
 
 from __future__ import annotations
 
 import atexit
-import collections
 import dataclasses
 import itertools
 import multiprocessing
 import time
-from concurrent.futures import (FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, wait)
+from concurrent.futures import Future, ProcessPoolExecutor
 
 from . import faults
 
 __all__ = [
     "DEFAULT_PIPELINE_DEPTH",
     "EngineConfig",
-    "PipelineBatch",
     "RetryPolicy",
     "RunStats",
-    "chunk_list",
     "iter_batches",
     "parallel_map",
     "pool_generation",
     "respawn_pool",
     "run_args",
-    "run_pipeline",
     "shutdown_pool",
     "submit_task",
 ]
 
-#: how many batches the pipelined core keeps in flight at once
+#: how many batches the grid engine keeps in flight at once
 DEFAULT_PIPELINE_DEPTH = 2
 
 
@@ -75,7 +56,7 @@ DEFAULT_PIPELINE_DEPTH = 2
 
 @dataclasses.dataclass(frozen=True)
 class EngineConfig:
-    """Execution configuration shared by every executor consumer.
+    """Execution configuration shared by every run entry point.
 
     The one way to configure a run:
     :func:`~repro.runner.engine.run_grid`,
@@ -141,7 +122,8 @@ class RunStats:
     #: same way
     sweep_memo_hits: int = 0
     sweep_memo_misses: int = 0
-    #: scheduler counters, maintained by :func:`run_pipeline`
+    #: scheduler counters: the grid engine's batch window maintains all
+    #: five, a sweep only ``batches`` and ``rows_written``
     batches: int = 0
     max_pending: int = 0
     rows_written: int = 0
@@ -177,9 +159,10 @@ def run_args(config, stats) -> tuple[EngineConfig, RunStats]:
     ``None`` selects the defaults (a fresh :class:`RunStats` when the
     caller does not collect counters).  Anything else that is not an
     :class:`EngineConfig` / :class:`RunStats` raises :class:`TypeError`,
-    and a ``chunk_jobs`` below 1 raises :class:`ValueError` — entry
-    points call this first, so a bad argument fails before any sink,
-    cache or queue is opened.
+    and a ``batch_size``, ``pipeline_depth`` or ``chunk_jobs`` below 1
+    raises :class:`ValueError` — entry points call this first, so a bad
+    argument fails before any sink, cache or queue is opened (and before
+    a worker claims a lease it could not run).
     """
     if config is None:
         config = EngineConfig()
@@ -191,6 +174,12 @@ def run_args(config, stats) -> tuple[EngineConfig, RunStats]:
     elif not isinstance(stats, RunStats):
         raise TypeError(f"stats must be a RunStats or None, "
                         f"got {type(stats).__name__}")
+    if config.batch_size is not None and config.batch_size < 1:
+        raise ValueError(f"batch_size must be positive or None, "
+                         f"got {config.batch_size!r}")
+    if config.pipeline_depth < 1:
+        raise ValueError(f"pipeline_depth must be >= 1, "
+                         f"got {config.pipeline_depth!r}")
     if config.chunk_jobs is not None and config.chunk_jobs < 1:
         raise ValueError(f"chunk_jobs must be positive or None, "
                          f"got {config.chunk_jobs!r}")
@@ -350,43 +339,8 @@ def parallel_map(fn, items, n_jobs: int = 1, chunksize: int | None = None):
 
 
 # ----------------------------------------------------------------------
-# Batching and fused-chunk dispatch.
+# Batching.
 # ----------------------------------------------------------------------
-
-
-def chunk_list(items, n_jobs: int, chunk_jobs: int | None,
-               weight=None) -> list[list]:
-    """Split ``items`` into contiguous chunks of about ``chunk_jobs``
-    jobs for fused dispatch.
-
-    ``weight(item)`` is the number of jobs an item carries (default 1);
-    a chunk closes once it holds ``chunk_jobs`` jobs, so chunks round
-    up to whole items.  ``chunk_jobs=None`` auto-sizes: in-process
-    everything fuses into one chunk (maximal sharing, no IPC to
-    amortize anyway); on the pool roughly two chunks per worker balance
-    round-trip amortization against load balancing.  ``chunk_jobs=1``
-    gives one item per chunk.
-    """
-    items = list(items)
-    weights = [1 if weight is None else weight(item) for item in items]
-    if chunk_jobs is not None:
-        size = chunk_jobs
-    elif n_jobs <= 1:
-        size = sum(weights)
-    else:
-        size = -(-sum(weights) // (2 * n_jobs))
-    chunks: list[list] = []
-    chunk: list = []
-    filled = 0
-    for item, w in zip(items, weights):
-        chunk.append(item)
-        filled += w
-        if filled >= size:
-            chunks.append(chunk)
-            chunk, filled = [], 0
-    if chunk:
-        chunks.append(chunk)
-    return chunks
 
 
 def iter_batches(iterable, size: int | None):
@@ -414,163 +368,3 @@ def _iter_batches(iterable, size: int | None):
         if not batch:
             return
         yield batch
-
-
-# ----------------------------------------------------------------------
-# The double-buffer / in-order-drain scheduling loop.
-# ----------------------------------------------------------------------
-
-
-class PipelineBatch:
-    """One admitted batch of work: the :func:`run_pipeline` contract.
-
-    A consumer's ``plan`` callback returns one instance per admitted
-    batch; the scheduler then repeatedly calls :meth:`advance`, blocks
-    on :meth:`unfinished_futures` when nothing progressed, and calls
-    :meth:`flush` once the batch — and every batch admitted before it —
-    is :meth:`done`.  On abort the scheduler cancels
-    :meth:`all_futures`, gives each batch a best-effort
-    :meth:`salvage`, and still flushes :meth:`flushable` head batches
-    so a killed run keeps a clean in-order row prefix.
-    """
-
-    #: number of result rows the batch will flush (memory accounting)
-    size = 0
-
-    def advance(self) -> bool:
-        """Move the batch's stage machine; return True on progress."""
-        return False
-
-    def done(self) -> bool:
-        """True once every row of the batch is ready to flush."""
-        raise NotImplementedError
-
-    def unfinished_futures(self) -> list[Future]:
-        """Futures the scheduler may need to block on."""
-        return []
-
-    def all_futures(self) -> list[Future]:
-        """Every future the batch ever submitted (cancelled on abort)."""
-        return self.unfinished_futures()
-
-    def flush(self) -> int:
-        """Write the batch's rows to the sink; return the row count.
-
-        Called exactly once, in admission order, only after
-        :meth:`done` (normal path) or :meth:`flushable` (abort path).
-        """
-        return 0
-
-    def flushable(self) -> bool:
-        """True when an aborted run may still flush this batch."""
-        return self.done()
-
-    def salvage(self) -> None:
-        """Abort path: persist completed-but-unharvested work
-        (best-effort cache writes; exceptions are swallowed)."""
-        return None
-
-
-def run_pipeline(batches, plan, *, pipeline_depth: int =
-                 DEFAULT_PIPELINE_DEPTH, stats: RunStats | None = None
-                 ) -> RunStats:
-    """Drive batches of work through the double-buffered pipeline.
-
-    ``batches`` is a (lazy) iterable of batch payloads; ``plan(batch)``
-    admits one payload and returns its :class:`PipelineBatch`.  Up to
-    ``pipeline_depth`` batches stay in flight: while the head batch's
-    futures run, later batches are already admitted and submitting
-    work, and each completed head flushes — in admission order — before
-    any later batch.  When no batch progresses, the scheduler blocks on
-    the union of unfinished futures (``FIRST_COMPLETED``).
-
-    On any exception (including ``KeyboardInterrupt``) the in-flight
-    window is drained: every future is cancelled, each batch salvages
-    completed work into its cache, and fully completed head batches
-    still flush in order — unless the sink itself failed, in which case
-    nothing more is written (kill+resume relies on a clean row prefix).
-
-    Maintains ``stats.batches``, ``stats.rows_written``,
-    ``stats.max_pending`` (peak pending rows across the window),
-    ``stats.overlapped_batches`` (admissions while an earlier batch
-    still had unfinished futures) and ``stats.inflight_max``; returns
-    the :class:`RunStats` it updated.
-    """
-    if pipeline_depth < 1:
-        raise ValueError("pipeline_depth must be >= 1")
-    stats = RunStats() if stats is None else stats
-    batches_iter = iter(batches)
-    inflight: collections.deque[PipelineBatch] = collections.deque()
-    sink_ok = [True]   # False once a flush itself refused rows
-
-    def flush_head() -> None:
-        st = inflight.popleft()
-        try:
-            stats.rows_written += st.flush()
-        except BaseException:
-            # a sink that refuses rows must stop ALL flushing — the
-            # abort drain must not write later batches after a torn
-            # one (kill+resume relies on a clean row prefix)
-            sink_ok[0] = False
-            raise
-
-    def pump() -> bool:
-        """Advance every in-flight batch; flush completed heads in
-        admission order (the sink sees rows in job order)."""
-        progressed = False
-        for st in list(inflight):
-            while st.advance():
-                progressed = True
-        while inflight and inflight[0].done():
-            flush_head()
-            progressed = True
-        return progressed
-
-    def drain() -> None:
-        """Abort path: cancel outstanding work, persist what finished,
-        and flush fully completed head batches in order."""
-        for st in inflight:
-            for future in st.all_futures():
-                future.cancel()
-        for st in inflight:   # best-effort: completed chunks still count
-            try:
-                st.salvage()
-            except Exception:
-                pass
-        while sink_ok[0] and inflight and inflight[0].flushable():
-            try:
-                flush_head()
-            except BaseException:
-                break
-
-    exhausted = False
-    try:
-        while True:
-            while not exhausted and len(inflight) < pipeline_depth:
-                batch = next(batches_iter, None)
-                if batch is None:
-                    exhausted = True
-                    break
-                if any(b.unfinished_futures() for b in inflight):
-                    stats.overlapped_batches += 1
-                stats.batches += 1
-                inflight.append(plan(batch))
-                stats.merge_max("inflight_max", len(inflight))
-                stats.merge_max("max_pending",
-                                sum(b.size for b in inflight))
-                pump()
-            if not inflight:
-                if exhausted:
-                    break
-                continue
-            if not pump():
-                futures = [f for st in inflight
-                           for f in st.unfinished_futures()]
-                if not futures:  # pragma: no cover - defensive
-                    raise RuntimeError("pipeline stalled without "
-                                       "outstanding work")
-                wait(futures, return_when=FIRST_COMPLETED)
-    except BaseException:
-        drain()
-        raise
-    return stats

@@ -568,6 +568,18 @@ class JobCache:
         """``{"backend", "entries": {kind: n}, "total", "bytes"}``."""
         return self._backend.stats()
 
+    def check_dir(self) -> None:
+        """Raise :class:`NotADirectoryError` unless the directory that
+        holds the records (the root, or the SQLite database's
+        directory) is one or can still be created.  Reads no record,
+        so its cost does not grow with the cache."""
+        path = (self._backend.db_path.parent
+                if isinstance(self._backend, _SqliteBackend) else self.root)
+        while not path.exists() and path != path.parent:
+            path = path.parent
+        if not path.is_dir():
+            raise NotADirectoryError(f"{path} is not a directory")
+
     def prune(self, older_than: float) -> int:
         """Remove records written more than ``older_than`` seconds ago;
         returns the number removed."""

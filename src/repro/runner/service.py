@@ -17,7 +17,8 @@ for the worker fleet to drain.  One request lifecycle::
          counts, staleness, state (pending | done | degraded), and
          the merged rows once every lease drained
     GET /healthz        liveness only (the process answers)
-    GET /readyz         queue database and job cache reachable
+    GET /readyz         queue database answers and the job cache's
+                        directory is usable (both O(1) probes)
     POST /shutdown      drain: stop admitting, finish in-flight
                         leases, then exit the serve loop (exit 0)
 
@@ -450,15 +451,17 @@ class GridService:
     def _readyz(self):
         """``GET /readyz``: can this replica actually take work?"""
         problems = []
+        # both probes cost the same however long the queue's history
+        # and however many records the cache holds
         try:
             with self._lock:
-                self._queue.counts()
+                self._queue.finished()
         except Exception as exc:
             problems.append(f"queue: {type(exc).__name__}: {exc}")
         try:
             cache = self._open_cache()
             if cache is not None:
-                cache.stats()
+                cache.check_dir()
         except Exception as exc:
             problems.append(f"cache: {type(exc).__name__}: {exc}")
         if self._draining:

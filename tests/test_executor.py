@@ -1,19 +1,16 @@
-"""Tests for the shared pipelined executor: the run_pipeline contract
-(in-order flush, overlap counters, abort drain), the one run API
-(EngineConfig in, RunStats out, TypeError for anything else), and
+"""Tests for the shared executor: the batching helpers, the one run
+API (EngineConfig in, RunStats out, TypeError for anything else), and
 job_slice."""
 
 import dataclasses
-import threading
-from concurrent.futures import Future
 
 import pytest
 
 from repro.analysis import sweep
 from repro.runner import (EngineConfig, GridSpec, ListSink, RunStats,
                           run_grid, work)
-from repro.runner.executor import (PipelineBatch, chunk_list, iter_batches,
-                                   run_args, run_pipeline)
+from repro.runner.engine import chunk_list
+from repro.runner.executor import iter_batches, run_args
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
                  seeds=(0, 1), sizes=(16,))
@@ -21,185 +18,6 @@ SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
 
 def _measure(x):
     return {"y": x * x}
-
-
-# ----------------------------------------------------------------------
-# run_pipeline contract, driven by stub batches.
-# ----------------------------------------------------------------------
-
-class _FutureBatch(PipelineBatch):
-    """Stub batch backed by real futures the test completes on timers."""
-
-    def __init__(self, name, futures, log, rows=1):
-        self.name = name
-        self.futures = list(futures)
-        self._all = list(futures)
-        self.log = log
-        self.size = rows
-        self.salvaged = False
-
-    def advance(self):
-        progressed = False
-        remaining = []
-        for f in self.futures:
-            if f.done():
-                f.result()  # propagate worker exceptions
-                progressed = True
-            else:
-                remaining.append(f)
-        self.futures = remaining
-        return progressed
-
-    def done(self):
-        return not self.futures
-
-    def unfinished_futures(self):
-        return [f for f in self.futures if not f.done()]
-
-    def all_futures(self):
-        return self._all
-
-    def flush(self):
-        self.log.append(self.name)
-        return self.size
-
-    def salvage(self):
-        self.salvaged = True
-
-
-def _timed_future(delay, value=None):
-    f = Future()
-    threading.Timer(delay, f.set_result, args=(value,)).start()
-    return f
-
-
-class TestRunPipeline:
-    def test_heads_flush_in_admission_order(self):
-        # batch 1 finishes long before batch 0; the sink must still see
-        # batch 0 first
-        log = []
-        delays = {0: 0.25, 1: 0.01}
-
-        def plan(i):
-            return _FutureBatch(i, [_timed_future(delays[i])], log,
-                                rows=i + 1)
-
-        stats = run_pipeline(iter([0, 1]), plan, pipeline_depth=2)
-        assert log == [0, 1]
-        assert stats.batches == 2
-        assert stats.rows_written == 3
-        assert stats.overlapped_batches == 1
-        assert stats.inflight_max == 2
-        assert stats.max_pending == 3
-
-    def test_depth_one_is_a_barrier(self):
-        log = []
-
-        def plan(i):
-            return _FutureBatch(i, [_timed_future(0.01)], log)
-
-        stats = run_pipeline(iter([0, 1, 2]), plan, pipeline_depth=1)
-        assert log == [0, 1, 2]
-        assert stats.overlapped_batches == 0
-        assert stats.inflight_max == 1
-
-    def test_empty_iterable_is_a_no_op(self):
-        stats = run_pipeline(iter([]), lambda b: None, pipeline_depth=2)
-        assert stats.batches == 0 and stats.rows_written == 0
-
-    def test_depth_validated(self):
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            run_pipeline(iter([]), lambda b: None, pipeline_depth=0)
-
-    def test_stall_without_outstanding_work_raises(self):
-        class Stuck(PipelineBatch):
-            def done(self):
-                return False
-
-        with pytest.raises(RuntimeError, match="stalled"):
-            run_pipeline(iter([0]), lambda b: Stuck(), pipeline_depth=1)
-
-    def test_abort_salvages_all_and_flushes_completed_heads(self):
-        # batch 0 completes during the same pump in which batch 1's
-        # advance raises: the drain must salvage both, then still flush
-        # batch 0 (a killed run keeps a clean in-order row prefix)
-        log = []
-
-        class Slow(PipelineBatch):
-            size = 1
-            calls = 0
-
-            def advance(self):
-                Slow.calls += 1
-                return Slow.calls == 2
-
-            def done(self):
-                return Slow.calls >= 2
-
-            def flush(self):
-                log.append("flush-b0")
-                return 1
-
-            def salvage(self):
-                log.append("salvage-b0")
-
-        class Boom(PipelineBatch):
-            size = 1
-
-            def advance(self):
-                raise RuntimeError("boom")
-
-            def done(self):
-                return False
-
-            def salvage(self):
-                log.append("salvage-b1")
-
-        batches = [Slow(), Boom()]
-        with pytest.raises(RuntimeError, match="boom"):
-            run_pipeline(iter([0, 1]), lambda i: batches[i],
-                         pipeline_depth=2)
-        assert log == ["salvage-b0", "salvage-b1", "flush-b0"]
-
-    def test_abort_cancels_outstanding_futures(self):
-        log = []
-        pending = Future()  # never completes; must be cancelled
-        b0 = _FutureBatch(0, [pending], log)
-
-        class Boom(PipelineBatch):
-            def advance(self):
-                raise RuntimeError("boom")
-
-            def done(self):
-                return False
-
-        batches = {0: b0, 1: Boom()}
-        with pytest.raises(RuntimeError, match="boom"):
-            run_pipeline(iter([0, 1]), lambda i: batches[i],
-                         pipeline_depth=2)
-        assert pending.cancelled()
-        assert b0.salvaged
-        assert log == []  # b0 never completed, so it must not flush
-
-    def test_failing_sink_stops_all_flushing(self):
-        # once a flush itself raises, the drain must not write later
-        # batches (kill+resume relies on an untorn row prefix)
-        log = []
-
-        class BadFlush(_FutureBatch):
-            def flush(self):
-                raise IOError("sink refused")
-
-        done = Future()
-        done.set_result(None)
-        done2 = Future()
-        done2.set_result(None)
-        batches = {0: BadFlush(0, [done], log),
-                   1: _FutureBatch(1, [done2], log)}
-        with pytest.raises(IOError, match="sink refused"):
-            run_pipeline(iter([0, 1]), lambda i: batches[i],
-                         pipeline_depth=2)
-        assert log == []
 
 
 class TestBatchingHelpers:
@@ -367,7 +185,9 @@ class TestJobSlice:
         assert parts == full
 
     def test_empty_slice_is_empty(self):
-        assert run_grid(SMALL, job_slice=(2, 2)) == []
+        stats = RunStats()
+        assert run_grid(SMALL, job_slice=(2, 2), stats=stats) == []
+        assert stats.batches == 0
 
     def test_out_of_range_slice_raises(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ def test_top_level_reexports_cover_core_workflow():
 def test_runner_exports_cover_executor_and_leasequeue():
     import repro.runner as runner
     for name in ("run_grid", "GridSpec", "EngineConfig", "RunStats",
-                 "PipelineBatch", "run_pipeline", "parallel_map",
+                 "parallel_map",
                  "shutdown_pool", "Lease", "LeaseLost", "LeaseQueue",
                  "merge_results", "work", "JsonlSink", "ListSink",
                  "ResultSink", "SqliteSink", "make_sink",

@@ -132,6 +132,21 @@ class TestWorkAndMerge:
         assert stats.rows_written == len(SMALL)
         assert merge_results(tmp_path / "q") == run_grid(SMALL)
 
+    @pytest.mark.parametrize("field", ["batch_size", "pipeline_depth",
+                                       "chunk_jobs"])
+    def test_bad_config_claims_no_lease(self, tmp_path, field):
+        """A config every lease would fail on raises before the worker
+        claims one, so no lease sits ``leased`` until its TTL."""
+        queue = LeaseQueue(tmp_path / "q")
+        grid_id = queue.enqueue(SMALL, lease_jobs=3)
+        with pytest.raises(ValueError, match=field):
+            work(tmp_path / "q", worker="w",
+                 config=EngineConfig(**{field: 0}))
+        counts = queue.counts(grid_id)
+        assert counts["leased"] == counts["done"] == 0
+        assert counts["pending"] == -(-len(SMALL) // 3)
+        queue.close()
+
     def test_max_leases_bounds_the_drain(self, tmp_path):
         queue = LeaseQueue(tmp_path / "q")
         grid_id = queue.enqueue(SMALL, lease_jobs=3)

@@ -304,6 +304,109 @@ class TestPromiseRace:
         # seeds 0 and 1 completed before the error: still flushed
         assert [r["seed"] for r in sink.rows] == [0, 1]
 
+    def test_later_batch_finishing_first_flushes_in_job_order(
+            self, monkeypatch):
+        """Batch 1's task finishes, and is harvested, while batch 0's
+        is still running: the sink must still see batch 0's rows
+        first."""
+        from concurrent.futures import Future
+        head: Future = Future()
+        head_env = {}
+
+        class Releasing(Future):
+            # batch 0's task finishes only once batch 1's is harvested
+            def result(self, timeout=None):
+                head.set_result(head_env["env"])
+                return super().result(timeout)
+
+        def fake_submit(fn, arg, n_jobs):
+            groups, _store_root, _policy = arg
+            env = engine_mod._run_instances(arg)
+            if groups[0][2][0][4] == 0:
+                head_env["env"] = env
+                return head
+            future = Releasing()
+            future.set_result(env)
+            return future
+
+        monkeypatch.setattr(engine_mod, "submit_task", fake_submit)
+        spec = GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                        seeds=(0, 1), sizes=(16,))
+        sink, stats = ListSink(), RunStats()
+        run_grid(spec, EngineConfig(batch_size=1, pipeline_depth=2,
+                                    sink=sink), stats=stats)
+        assert [r["seed"] for r in sink.rows] == [0, 1]
+        assert (stats.batches, stats.rows_written) == (2, 2)
+        assert (stats.overlapped_batches, stats.inflight_max,
+                stats.max_pending) == (1, 2, 2)
+
+    def test_abort_cancels_every_outstanding_future(self, monkeypatch):
+        """A worker error cancels the futures of every admitted batch,
+        and flushes nothing that never completed."""
+        from concurrent.futures import Future
+        outstanding = []
+
+        def fake_submit(fn, arg, n_jobs):
+            groups, _store_root, _policy = arg
+            future: Future = Future()
+            if groups[0][2][0][4] == 2:
+                future.set_exception(RuntimeError("worker died"))
+            else:
+                outstanding.append(future)   # never completes
+            return future
+
+        monkeypatch.setattr(engine_mod, "submit_task", fake_submit)
+        spec = GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                        seeds=(0, 1, 2), sizes=(16,))
+        sink = ListSink()
+        with pytest.raises(RuntimeError, match="worker died"):
+            run_grid(spec,
+                     EngineConfig(batch_size=1, pipeline_depth=3, sink=sink))
+        assert len(outstanding) == 2
+        assert all(f.cancelled() for f in outstanding)
+        assert sink.rows == []
+
+    def test_abort_caches_finished_unharvested_task(self, tmp_path,
+                                                    monkeypatch):
+        """Batch 1's task finishes after its batch was pumped and before
+        batch 2's error surfaces: the abort still writes its row to the
+        job cache, so the resume pays only for jobs that never ran."""
+        from concurrent.futures import Future
+        late: Future = Future()
+        late_env = {}
+
+        class Boom(Future):
+            def result(self, timeout=None):
+                late.set_result(late_env["env"])
+                return super().result(timeout)
+
+        def fake_submit(fn, arg, n_jobs):
+            groups, _store_root, _policy = arg
+            seed = groups[0][2][0][4]
+            if seed == 0:
+                return Future()   # never completes
+            if seed == 1:
+                late_env["env"] = engine_mod._run_instances(arg)
+                return late
+            future = Boom()
+            future.set_exception(RuntimeError("worker died"))
+            return future
+
+        spec = GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                        seeds=(0, 1, 2), sizes=(16,))
+        cache = JobCache(tmp_path)
+        sink = ListSink()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_mod, "submit_task", fake_submit)
+            with pytest.raises(RuntimeError, match="worker died"):
+                run_grid(spec, EngineConfig(cache_dir=cache, batch_size=1,
+                                            pipeline_depth=3, sink=sink))
+        assert sink.rows == []   # batch 0 never completed
+        stats = RunStats()
+        rows = run_grid(spec, EngineConfig(cache_dir=cache), stats=stats)
+        assert (stats.job_hits, stats.job_misses) == (1, 2)
+        assert rows == run_grid(spec)
+
     def test_sink_failure_stops_all_flushing(self, tmp_path):
         """When the *sink* is what failed, the drain must not keep
         writing later batches after the torn one (kill+resume relies
@@ -383,7 +486,9 @@ class TestBatchValidation:
             run_grid(GRID, EngineConfig(batch_size=-2, sink=sink))
         assert not sink.opened
 
-    def test_nonpositive_chunk_jobs_raises_before_sink_opens(self):
+    @pytest.mark.parametrize("field", ["chunk_jobs", "batch_size",
+                                       "pipeline_depth"])
+    def test_nonpositive_sizes_raise_before_sink_opens(self, field):
         from repro.analysis import sweep
         from tests.test_runner import _measure
 
@@ -394,12 +499,12 @@ class TestBatchValidation:
                 self.opened = True
 
         sink = Sink()
-        with pytest.raises(ValueError, match="chunk_jobs"):
-            run_grid(GRID, EngineConfig(chunk_jobs=0, sink=sink))
+        with pytest.raises(ValueError, match=field):
+            run_grid(GRID, EngineConfig(sink=sink, **{field: 0}))
         assert not sink.opened
-        with pytest.raises(ValueError, match="chunk_jobs"):
+        with pytest.raises(ValueError, match=field):
             sweep(_measure, {"T": [2], "m": [3]},
-                  EngineConfig(chunk_jobs=-3, sink=sink))
+                  EngineConfig(sink=sink, **{field: -3}))
         assert not sink.opened
 
 

@@ -150,6 +150,30 @@ class TestRouting:
         status, payload, _ = service.handle("GET", "/readyz")
         assert status == 200 and payload["ready"]
 
+    def test_readyz_neither_counts_leases_nor_lists_records(
+            self, tmp_path, make_service, monkeypatch):
+        """``/readyz`` must cost the same however long the queue's
+        history and however many records the cache holds."""
+        def walk(*args, **kwargs):
+            raise RuntimeError("readyz walked the queue or the cache")
+
+        monkeypatch.setattr(LeaseQueue, "counts", walk)
+        monkeypatch.setattr(JobCache, "stats", walk)
+        service = make_service(tmp_path / "q", cache_dir=tmp_path / "c")
+        status, payload, _ = service.handle("GET", "/readyz")
+        assert (status, payload) == (200, {"ready": True})
+
+    @pytest.mark.parametrize("backend", ["json", "sqlite"])
+    def test_readyz_fails_when_cache_root_is_a_file(
+            self, tmp_path, make_service, backend):
+        """A cache every ``put`` would fail on is not ready."""
+        (tmp_path / "c").write_text("not a directory")
+        service = make_service(tmp_path / "q", cache_dir=tmp_path / "c",
+                               cache_backend=backend)
+        status, payload, _ = service.handle("GET", "/readyz")
+        assert status == 503 and not payload["ready"]
+        assert [p for p in payload["problems"] if p.startswith("cache:")]
+
     def test_draining_refuses_submits_and_fails_readyz(
             self, tmp_path, make_service):
         service = make_service(tmp_path / "q", drain_timeout=0.5)
